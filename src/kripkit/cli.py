@@ -110,7 +110,10 @@ def _generators(source: str, m: Model) -> list[frozenset]:
     if source == "valuation":
         return [xs for _, xs in sorted(m.valuation.items())]
     data = json.loads(source)
-    if not isinstance(data, list):
+    if not (isinstance(data, list)
+            and all(isinstance(entry, list)
+                    and all(isinstance(x, str) for x in entry)
+                    for entry in data)):
         raise ToolError("--generators must be a JSON list of state lists")
     return [frozenset(entry) for entry in data]
 
@@ -141,8 +144,8 @@ def build_parser() -> argparse.ArgumentParser:
                              help="formula in concrete syntax")
         if budget:
             sub.add_argument("--budget", type=int, default=None, metavar="N",
-                             help="cap on derived formula signatures "
-                                  "(default: saturate)")
+                             help="cap on derived formula signatures, "
+                                  "N >= 0 (default: saturate)")
         sub.add_argument("--output", default=None, metavar="PATH",
                          help="write the JSON result here instead of stdout")
         return sub
@@ -218,6 +221,8 @@ def run(args) -> int:
             if args.seed is not None or args.depth is not None:
                 if args.seed is None or args.depth is None:
                     raise ToolError("--seed and --depth go together")
+                if args.depth < 0:
+                    raise ToolError(f"--depth must be >= 0, got {args.depth}")
                 out["sample"] = _soundness_sample(left, right, frag, pairs,
                                                   args.seed, args.depth)
             _emit(out, args.output)
@@ -268,7 +273,10 @@ def run(args) -> int:
         m = _load(args.model, args)
         generators = _generators(args.generators, m)
         ops = [op for op in args.ops.split(",") if op]
-        algebra = genframe.close_algebra(m, generators, ops)
+        try:
+            algebra = genframe.close_algebra(m, generators, ops)
+        except ValueError as exc:  # an unknown --ops name
+            raise ToolError(str(exc)) from None
         _emit({"algebra": algebra.to_lists()}, args.output)
         return 0
 

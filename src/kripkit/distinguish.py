@@ -29,16 +29,17 @@ before it is returned, so a recipe bug shows up as an internal error,
 never as silently wrong output.
 
 bounded_equivalence_oracle goes the other way around: it saturates the
-fragment's formula algebra over both models at once, cheapest formula
-first, and declares two states equivalent when no generated formula
-splits them.  hennessy_milner_check ties the two together.
+fragment's formula algebra over both models at once (cheapest formula
+first only when a budget caps it) and declares two states equivalent
+when no generated formula splits them.  It shares no code with the
+refinement.  hennessy_milner_check ties the two together.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable
 
 from . import relations as rel
@@ -211,104 +212,150 @@ def verify_witnesses(witnesses: Iterable[Witness], m: Model,
 # Equivalence by formula saturation
 
 
-class _SideOps:
-    """Bitmask semantics for one model: every fragment connective as
-    an integer operation, states numbered by sorted order."""
+class _Table(dict):
+    """One connective's results, filled on first lookup and kept for a
+    single oracle call; a hit is a plain subscript.  A full table is
+    emptied before it grows further, so its memory stays bounded."""
 
-    def __init__(self, m: Model, frag: Fragment):
-        self.m = m
+    # Keys are arbitrary state sets, up to 2^(n+m) of them.  On
+    # porcupine(3)/porcupine_trimmed(3) with biint a table reaches
+    # 58,880 keys (12 MB for both); this cap holds them near 4 MB at
+    # no measurable cost in time.
+    CAP = 1 << 14
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: int) -> int:
+        if len(self) >= self.CAP:
+            self.clear()
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _bits_disjoint(masks: list[int], d: int) -> int:
+    """Bit k set where masks[k] and d share no bit."""
+    out, bit = 0, 1
+    for mask in masks:
+        if not mask & d:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def _bits_meeting(masks: list[int], d: int) -> int:
+    """Bit k set where masks[k] and d share a bit."""
+    out, bit = 0, 1
+    for mask in masks:
+        if mask & d:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+class _UnionOps:
+    """Bitmask semantics on the disjoint union of two models.  Bit i is
+    the left model's i-th state in state order and bit n + j the right
+    model's j-th, so a signature pair (truth set here, truth set there)
+    is one integer and & and | act on it directly.  `arrows` holds imp
+    and/or sub as _Tables keyed by a & ~b, since that is all they
+    depend on; `unary` holds the modal operators as functions of a,
+    in the order boxes, diamonds, backward diamonds, backward boxes.
+    Each signature meets each modal operator once, so only the arrows
+    repeat work worth a table."""
+
+    def __init__(self, m: Model, m2: Model, frag: Fragment):
+        n = len(m.states)
         self.index = {s: i for i, s in enumerate(m.states)}
-        self.full = (1 << len(m.states)) - 1
-        self.up = [self.mask(m.up_map[s]) for s in m.states]
-        self.down = [self.mask(m.down_map[s]) for s in m.states]
-        self.box_succ = {i: self._succ_masks(semantics.box_relation(m, i))
-                         for i in range(1, frag.n_boxes + 1)}
-        self.dia_succ = {j: self._succ_masks(semantics.dia_relation(m, j))
-                         for j in range(1, frag.m_diamonds + 1)}
-        self.tdia_succ = {}
-        self.tbox_succ = {}
+        self.index2 = {s: n + j for j, s in enumerate(m2.states)}
+        self.full = (1 << (n + len(m2.states))) - 1
+        self.arrows = []
+        if frag.base in ("int", "biint"):
+            self.arrows.append(_Table(partial(
+                _bits_disjoint, self._union_masks(m.up_map, m2.up_map))))
+        if frag.base in ("intdual", "biint"):
+            self.arrows.append(_Table(partial(
+                _bits_meeting, self._union_masks(m.down_map, m2.down_map))))
+        modal = [(semantics.box_relation, frag.n_boxes, True),
+                 (semantics.dia_relation, frag.m_diamonds, False)]
         if frag.tense:
-            self.tdia_succ = {
-                i: self._succ_masks(semantics.back_dia_relation(m, i))
-                for i in range(1, frag.n_boxes + 1)}
-            self.tbox_succ = {
-                j: self._succ_masks(semantics.back_box_relation(m, j))
-                for j in range(1, frag.m_diamonds + 1)}
+            modal += [(semantics.back_dia_relation, frag.n_boxes, False),
+                      (semantics.back_box_relation, frag.m_diamonds, True)]
+        self.unary = []
+        for relation, count, universal in modal:
+            for i in range(1, count + 1):
+                succ = self._union_masks(rel.successors(relation(m, i)),
+                                         rel.successors(relation(m2, i)))
+                if universal:
+                    self.unary.append(
+                        lambda a, succ=succ: _bits_disjoint(succ, ~a))
+                else:
+                    self.unary.append(partial(_bits_meeting, succ))
 
-    def mask(self, xs) -> int:
+    def mask(self, xs, xs2=_EMPTY) -> int:
         out = 0
         for x in xs:
             out |= 1 << self.index[x]
+        for x in xs2:
+            out |= 1 << self.index2[x]
         return out
 
-    def _succ_masks(self, relation) -> list[int]:
-        raw = rel.successors(relation)
-        return [self.mask(raw.get(s, _EMPTY)) for s in self.m.states]
-
-    def imp(self, a: int, b: int) -> int:
-        return sum(1 << i for i, up in enumerate(self.up)
-                   if not (up & a & ~b))
-
-    def sub(self, a: int, b: int) -> int:
-        return sum(1 << i for i, down in enumerate(self.down)
-                   if down & a & ~b)
-
-    def forall(self, succ: list[int], a: int) -> int:
-        return sum(1 << i for i, s in enumerate(succ) if not (s & ~a))
-
-    def exists(self, succ: list[int], a: int) -> int:
-        return sum(1 << i for i, s in enumerate(succ) if s & a)
+    def _union_masks(self, left: dict, right: dict) -> list[int]:
+        """One mask per union state, from each side's map of related
+        states."""
+        return ([self.mask(left.get(s, _EMPTY)) for s in self.index]
+                + [self.mask(_EMPTY, right.get(s, _EMPTY))
+                   for s in self.index2])
 
 
-def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
-                               budget: int | None = None):
-    """Which state pairs agree on every fragment formula, decided by
-    saturating formula semantics over both models at once.
+def _check_budget(budget: int | None) -> None:
+    if budget is not None and budget < 0:
+        raise PreconditionError(f"budget must be >= 0, got {budget}")
 
-    Formulas are explored as signature pairs (truth set here, truth
-    set there), cheapest connective count first, so two formulas with
-    the same signatures are never both expanded.  The budget caps how
-    many derived signatures are admitted: exhausting the worklist
-    first means the answer is exact; hitting the budget means the
-    returned relation may still be too coarse.  Budget 0 gives plain
-    atom agreement.
 
-    Returns (relation, exact).
-    """
-    left, right = _SideOps(m, frag), _SideOps(m2, frag)
-    atoms = sorted(set(m.valuation) | set(m2.valuation))
+def _closure(generators: list[int], ops: _UnionOps) -> list[int]:
+    """The least set of signatures holding the generators and closed
+    under every connective.  Each admitted signature is combined with
+    every one admitted no later than itself, both ways round for the
+    arrows, so every pair is combined exactly once."""
+    members = list(generators)
+    complements = [~x for x in members]
+    seen = set(members)
+    unary, arrows = ops.unary, ops.arrows
+    k = 0
+    while k < len(members):
+        a, not_a = members[k], complements[k]
+        k += 1
+        done = members[:k]
+        fresh = {op(a) for op in unary}
+        fresh.update([a & x for x in done])
+        fresh.update([a | x for x in done])
+        not_done = complements[:k]
+        for table in arrows:
+            fresh.update([table[a & not_x] for not_x in not_done])
+            fresh.update([table[x & not_a] for x in done])
+        fresh -= seen
+        seen |= fresh
+        members.extend(fresh)
+        complements.extend([~x for x in fresh])
+    return members
 
-    unary = []
-    for i in sorted(left.box_succ):
-        unary.append((lambda a, i=i: left.forall(left.box_succ[i], a),
-                      lambda a, i=i: right.forall(right.box_succ[i], a)))
-    for j in sorted(left.dia_succ):
-        unary.append((lambda a, j=j: left.exists(left.dia_succ[j], a),
-                      lambda a, j=j: right.exists(right.dia_succ[j], a)))
-    for i in sorted(left.tdia_succ):
-        unary.append((lambda a, i=i: left.exists(left.tdia_succ[i], a),
-                      lambda a, i=i: right.exists(right.tdia_succ[i], a)))
-    for j in sorted(left.tbox_succ):
-        unary.append((lambda a, j=j: left.forall(left.tbox_succ[j], a),
-                      lambda a, j=j: right.forall(right.tbox_succ[j], a)))
-    binary = [(lambda a, b: a[0] & b[0], lambda a, b: a[1] & b[1], True),
-              (lambda a, b: a[0] | b[0], lambda a, b: a[1] | b[1], True)]
-    if frag.base in ("int", "biint"):
-        binary.append((lambda a, b: left.imp(a[0], b[0]),
-                       lambda a, b: right.imp(a[1], b[1]), False))
-    if frag.base in ("intdual", "biint"):
-        binary.append((lambda a, b: left.sub(a[0], b[0]),
-                       lambda a, b: right.sub(a[1], b[1]), False))
 
-    closed: dict[tuple[int, int], int] = {}
-    for sig in ([(0, 0), (left.full, right.full)]
-                + [(left.mask(m.valuation.get(a, _EMPTY)),
-                    right.mask(m2.valuation.get(a, _EMPTY))) for a in atoms]):
-        closed.setdefault(sig, 0)
+def _budgeted_closure(generators: list[int], ops: _UnionOps,
+                      budget: int) -> tuple[list[int], bool]:
+    """Admit at most `budget` derived signatures, cheapest connective
+    count first, ties broken by push order.  Returns the admitted
+    signatures and whether the worklist ran dry first."""
+    unary = ops.unary
+    binary = [(lambda a, b: a & b, True), (lambda a, b: a | b, True)]
+    binary += [(lambda a, b, table=table: table[a & ~b], False)
+               for table in ops.arrows]
 
+    closed: dict[int, int] = dict.fromkeys(generators, 0)
     heap: list = []
     tick = 0
-    cheapest_pushed: dict[tuple[int, int], int] = {}
+    cheapest_pushed: dict[int, int] = {}
 
     def push(sig, cost):
         nonlocal tick
@@ -323,37 +370,69 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
 
     def expand(sig):
         cost = closed[sig]
-        for fl, fr in unary:
-            push((fl(sig[0]), fr(sig[1])), cost + 1)
-        for fl, fr, commutes in binary:
+        for op in unary:
+            push(op(sig), cost + 1)
+        for op, commutes in binary:
             for other, other_cost in list(closed.items()):
-                push((fl(sig, other), fr(sig, other)), cost + other_cost + 1)
+                push(op(sig, other), cost + other_cost + 1)
                 if not commutes:
-                    push((fl(other, sig), fr(other, sig)),
-                         cost + other_cost + 1)
+                    push(op(other, sig), cost + other_cost + 1)
 
     for sig in list(closed):
         expand(sig)
 
     derived = 0
-    exact = True
     while heap:
         cost, _, sig = heapq.heappop(heap)
         if sig in closed:
             continue
-        if budget is not None and derived >= budget:
-            exact = False
-            break
+        if derived >= budget:
+            return list(closed), False
         closed[sig] = cost
         derived += 1
         expand(sig)
+    return list(closed), True
 
-    pairs = set()
-    for x, ix in left.index.items():
-        for y, iy in right.index.items():
-            if all((sig_l >> ix) & 1 == (sig_r >> iy) & 1
-                   for sig_l, sig_r in closed):
-                pairs.add((x, y))
+
+def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
+                               budget: int | None = None):
+    """Which state pairs agree on every fragment formula, decided by
+    saturating formula semantics over both models at once.
+
+    Formulas are explored as signature pairs (truth set here, truth
+    set there), so two formulas with the same signatures are never
+    both expanded.  Without a budget the result is the least set of
+    signatures that holds the atoms, T and F and is closed under the
+    fragment's connectives; the order of work does not matter, and
+    the answer is exact.  A budget, which must be >= 0, caps how many
+    derived signatures are admitted, cheapest connective count first;
+    that order only decides which signatures a budgeted run admits.
+    Exhausting the worklist first means the answer is exact; hitting
+    the budget means the returned relation may still be too coarse.
+    Budget 0 gives plain atom agreement.
+
+    Returns (relation, exact).
+    """
+    _check_budget(budget)
+    ops = _UnionOps(m, m2, frag)
+    atoms = sorted(set(m.valuation) | set(m2.valuation))
+    generators = [0, ops.full] + [
+        ops.mask(m.valuation.get(a, _EMPTY), m2.valuation.get(a, _EMPTY))
+        for a in atoms]
+    generators = list(dict.fromkeys(generators))
+    if budget is None:
+        closed, exact = _closure(generators, ops), True
+    else:
+        closed, exact = _budgeted_closure(generators, ops, budget)
+
+    def profile(bit: int) -> tuple[int, ...]:
+        return tuple(sig >> bit & 1 for sig in closed)
+
+    by_profile: dict[tuple[int, ...], list[str]] = {}
+    for y, bit in ops.index2.items():
+        by_profile.setdefault(profile(bit), []).append(y)
+    pairs = {(x, y) for x, bit in ops.index.items()
+             for y in by_profile.get(profile(bit), ())}
     return frozenset(pairs), exact
 
 
@@ -377,6 +456,7 @@ def hennessy_milner_check(m: Model, m2: Model, frag: Fragment,
     fixpoint.  An inexact oracle that still matches the fixpoint is
     fine (the true equivalence is squeezed in between); an inexact
     mismatch is reported as undecided."""
+    _check_budget(budget)
     fixpoint, witnesses = synthesize(m, m2, frag)
     problems = verify_witnesses(witnesses, m, m2)
     oracle, exact = bounded_equivalence_oracle(m, m2, frag, budget)

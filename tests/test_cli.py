@@ -5,11 +5,14 @@ exercises the installed console script end to end.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kripkit
 from kripkit.cli import main
 from kripkit.model import build_example, model_from_dict, model_to_json
 
@@ -162,6 +165,30 @@ def test_hm_check_exit_codes(capsys, tmp_path):
     assert any("budget" in p for p in data["problems"])
 
 
+def assert_one_line_error(capsys, argv, needle):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and needle in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_negative_budgets_are_rejected(capsys, wedge_path, strict_path):
+    pair = ["--left", wedge_path, "--right", strict_path,
+            "--fragment", "biint"]
+    assert_one_line_error(capsys, ["oracle"] + pair + ["--budget", "-1"],
+                          "budget")
+    assert_one_line_error(capsys, ["hm-check"] + pair + ["--budget", "-3"],
+                          "budget")
+
+
+def test_bisim_rejects_a_negative_depth(capsys, wedge_path, strict_path):
+    assert_one_line_error(
+        capsys, ["bisim", "--left", wedge_path, "--right", strict_path,
+                 "--fragment", "biint", "--seed", "1", "--depth", "-1"],
+        "--depth")
+
+
 def test_quotient_verb(capsys, tmp_path):
     _, spine2 = spine_paths(tmp_path)
     data = run_json(capsys, ["quotient", "--model", spine2,
@@ -200,6 +227,20 @@ def test_closure_verb(capsys, wedge_path):
     assert data["algebra"] == [[], ["z"], ["x", "y", "z"]]
 
 
+def test_closure_rejects_unknown_ops(capsys, wedge_path):
+    assert_one_line_error(
+        capsys, ["closure", "--model", wedge_path,
+                 "--generators", "valuation", "--ops", "bogus"],
+        "bogus")
+
+
+def test_closure_rejects_generators_that_are_not_state_lists(capsys,
+                                                             wedge_path):
+    assert_one_line_error(
+        capsys, ["closure", "--model", wedge_path, "--generators", "[5]"],
+        "--generators")
+
+
 def test_descriptive_check_verb(capsys, wedge_path, strict_path):
     algebra = json.dumps([[], ["x"], ["z"], ["x", "z"], ["y", "z"],
                           ["x", "y", "z"]])
@@ -234,8 +275,13 @@ def test_output_is_deterministic(capsys, wedge_path, strict_path):
 
 
 def test_console_script_smoke():
+    # the child imports the same kripkit as this process, installed or not
+    src = str(Path(kripkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "kripkit.cli", "example", "--name", "wedge"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["states"] == ["x", "y", "z"]

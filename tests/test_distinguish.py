@@ -115,6 +115,14 @@ def test_oracle_budget_semantics():
     assert exact3 and rel3 == rel0
 
 
+def test_negative_budgets_are_rejected():
+    frag = Fragment("biint", 0, 0)
+    with pytest.raises(PreconditionError, match="budget"):
+        bounded_equivalence_oracle(WEDGE, WEDGE_STRICT, frag, budget=-1)
+    with pytest.raises(PreconditionError, match="budget"):
+        hennessy_milner_check(WEDGE, WEDGE_STRICT, frag, budget=-3)
+
+
 def test_hm_check_reports_budget_exhaustion():
     report = hennessy_milner_check(SPINE1, SPINE2, Fragment("int", 1, 0),
                                    budget=0)
