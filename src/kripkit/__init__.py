@@ -21,8 +21,9 @@ from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, Partition,
                     enrich_valuation, load_model, model_from_dict,
                     model_to_dict, model_to_json, quotient, strictify,
                     validate)
+from .relations import transitive_closure
 from .semantics import (back_box_relation, back_dia_relation, box_relation,
                         ck_relation, dia_relation, left_converse,
-                        semantic_operator, transitive_closure, truth_set)
+                        semantic_operator, truth_set)
 
 __version__ = "0.1.0"

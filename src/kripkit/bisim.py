@@ -127,12 +127,16 @@ def conditions_for(frag: Fragment, flavor: str) -> ConditionSet:
 
 @dataclass(frozen=True)
 class Task:
-    """One resolved clause: a named direction over successor maps."""
+    """One resolved clause: a named direction over successor maps, and
+    the connective shape of its witnesses ("imp", "sub", "box", "dia",
+    "tdia" or "tbox") with its modal index (None for imp and sub)."""
 
     clause: str
     direction: str  # "zig" or "zag"
     left: Mapping[str, frozenset]
     right: Mapping[str, frozenset]
+    shape: str
+    index: int | None
 
 
 def _succ_map(relation: frozenset, states) -> dict[str, frozenset]:
@@ -157,50 +161,34 @@ def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
     tasks: list[Task] = []
 
-    def add(clause, left_rel, right_rel, direction):
-        tasks.append(Task(clause, direction,
-                          _succ_map(left_rel, m.states),
-                          _succ_map(right_rel, m2.states)))
+    def add(clause, direction, shape, index, left, right):
+        tasks.append(Task(clause, direction, left, right, shape, index))
+
+    def add_modal(shape, index, left_rel, right_rel):
+        left = _succ_map(left_rel, m.states)
+        right = _succ_map(right_rel, m2.states)
+        add(f"{shape}{index}_zig", "zig", shape, index, left, right)
+        add(f"{shape}{index}_zag", "zag", shape, index, left, right)
 
     if conditions.order_forth:
-        add("order_forth", m.leq, m2.leq, "zig")
+        add("order_forth", "zig", "imp", None, m.up_map, m2.up_map)
     if conditions.order_back:
-        add("order_back", m.leq, m2.leq, "zag")
+        add("order_back", "zag", "imp", None, m.up_map, m2.up_map)
     if conditions.dual_forth:
-        add("dual_forth", m.geq, m2.geq, "zig")
+        add("dual_forth", "zig", "sub", None, m.down_map, m2.down_map)
     if conditions.dual_back:
-        add("dual_back", m.geq, m2.geq, "zag")
+        add("dual_back", "zag", "sub", None, m.down_map, m2.down_map)
     for i in conditions.boxes:
-        a, b = _stored(m, "box", i), _stored(m2, "box", i)
-        add(f"box{i}_zig", a, b, "zig")
-        add(f"box{i}_zag", a, b, "zag")
+        add_modal("box", i, _stored(m, "box", i), _stored(m2, "box", i))
     for j in conditions.diamonds:
-        a, b = _stored(m, "dia", j), _stored(m2, "dia", j)
-        add(f"dia{j}_zig", a, b, "zig")
-        add(f"dia{j}_zag", a, b, "zag")
+        add_modal("dia", j, _stored(m, "dia", j), _stored(m2, "dia", j))
     for i in conditions.tdias:
-        a, b = rel.converse(_stored(m, "box", i)), rel.converse(_stored(m2, "box", i))
-        add(f"tdia{i}_zig", a, b, "zig")
-        add(f"tdia{i}_zag", a, b, "zag")
+        add_modal("tdia", i, rel.converse(_stored(m, "box", i)),
+                  rel.converse(_stored(m2, "box", i)))
     for j in conditions.tboxes:
-        a, b = rel.converse(_stored(m, "dia", j)), rel.converse(_stored(m2, "dia", j))
-        add(f"tbox{j}_zig", a, b, "zig")
-        add(f"tbox{j}_zag", a, b, "zag")
+        add_modal("tbox", j, rel.converse(_stored(m, "dia", j)),
+                  rel.converse(_stored(m2, "dia", j)))
     return tasks
-
-
-def clause_kind(clause: str) -> tuple[str, int | None]:
-    """Map a clause name to the connective shape of its witnesses:
-    ("imp"|"sub"|"box"|"dia"|"tdia"|"tbox", modal index or None)."""
-    if clause in ("order_forth", "order_back"):
-        return ("imp", None)
-    if clause in ("dual_forth", "dual_back"):
-        return ("sub", None)
-    for prefix in ("tdia", "tbox", "box", "dia"):
-        if clause.startswith(prefix):
-            index = clause[len(prefix):].split("_", 1)[0]
-            return (prefix, int(index))
-    raise ValueError(f"not a clause name: {clause!r}")
 
 
 def _atom_disagreement(pair, m: Model, m2: Model, atoms) -> str | None:

@@ -42,10 +42,9 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Iterable
 
-from . import relations as rel
 from . import semantics
-from .bisim import (ConditionSet, clause_kind, conditions_for,
-                    greatest_bisimulation, resolved_tasks)
+from .bisim import (ConditionSet, conditions_for, greatest_bisimulation,
+                    resolved_tasks)
 from .errors import InternalCheckError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Dia, Formula, Fragment, Imp, Or,
                       Sub, TBox, TDia, Top, connective_count)
@@ -136,7 +135,7 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                            else "right")
         else:
             task = tasks[removal.clause]
-            shape, index = clause_kind(removal.clause)
+            shape, index = task.shape, task.index
             owner = removal.side
             t = removal.transition[1]
             if owner == "left":
@@ -277,16 +276,15 @@ class _UnionOps:
         if frag.base in ("intdual", "biint"):
             self.arrows.append(_Table(partial(
                 _bits_meeting, self._union_masks(m.down_map, m2.down_map))))
-        modal = [(semantics.box_relation, frag.n_boxes, True),
-                 (semantics.dia_relation, frag.m_diamonds, False)]
+        modal = [(Box, frag.n_boxes, True), (Dia, frag.m_diamonds, False)]
         if frag.tense:
-            modal += [(semantics.back_dia_relation, frag.n_boxes, False),
-                      (semantics.back_box_relation, frag.m_diamonds, True)]
+            modal += [(TDia, frag.n_boxes, False),
+                      (TBox, frag.m_diamonds, True)]
         self.unary = []
-        for relation, count, universal in modal:
+        for op, count, universal in modal:
             for i in range(1, count + 1):
-                succ = self._union_masks(rel.successors(relation(m, i)),
-                                         rel.successors(relation(m2, i)))
+                succ = self._union_masks(semantics._successors(m, op, i),
+                                         semantics._successors(m2, op, i))
                 if universal:
                     self.unary.append(
                         lambda a, succ=succ: _bits_disjoint(succ, ~a))

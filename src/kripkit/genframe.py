@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 from . import relations as rel
 from . import semantics
 from .errors import ModelFormatError
-from .formula import Fragment
+from .formula import Box, Fragment
 from .model import Model
 
 
@@ -61,16 +61,14 @@ class SetAlgebra:
         return [sorted(s) for s in self.sets]
 
 
-_KNOWN_BINARY = ("arrow", "coarrow")
-
-
-def _check_op_name(op: str) -> None:
-    if op in _KNOWN_BINARY:
-        return
-    name, _, suffix = op.rpartition("_")
-    if name in ("boxbar", "diabar") and suffix.isdigit() and int(suffix) >= 1:
-        return
-    raise ValueError(f"unknown algebra operation {op!r}")
+def _by_arity(ops: Iterable[str]) -> tuple[list[str], list[str]]:
+    """Split operator names into unary and binary ones; a malformed
+    name raises ValueError."""
+    split: tuple[list[str], list[str]] = ([], [])
+    for op in ops:
+        arity, _ = semantics._operator(op)
+        split[arity - 1].append(op)
+    return split
 
 
 def close_algebra(m: Model, generators: Iterable[Iterable[str]],
@@ -79,8 +77,7 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
     named operators ("arrow", "coarrow", "boxbar_i", "diabar_j").  The
     empty set and the carrier are always thrown in.  Terminates
     because there are only finitely many state sets."""
-    for op in ops:
-        _check_op_name(op)
+    unary_ops, binary_ops = _by_arity(ops)
     family: set[frozenset] = {frozenset(), m.state_set}
     for g in generators:
         g = frozenset(g)
@@ -89,8 +86,6 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
             raise ModelFormatError(
                 f"generator mentions unknown state {sorted(unknown)[0]!r}")
         family.add(g)
-    binary_ops = [op for op in ops if op in _KNOWN_BINARY]
-    unary_ops = [op for op in ops if op not in _KNOWN_BINARY]
     while True:
         new: set[frozenset] = set()
         members = sorted(family, key=_canon_key)
@@ -130,19 +125,17 @@ def is_general_model(m: Model, algebra: SetAlgebra,
         ops.append("coarrow")
     ops += [f"boxbar_{i}" for i in range(1, frag.n_boxes + 1)]
     ops += [f"diabar_{j}" for j in range(1, frag.m_diamonds + 1)]
+    unary_ops, binary_ops = _by_arity(ops)
     for a in algebra:
-        for op in ops:
-            if op in _KNOWN_BINARY:
-                continue
+        for op in unary_ops:
             if semantics.semantic_operator(op, m, a) not in algebra:
                 return False
         for b in algebra:
             if (a & b) not in algebra or (a | b) not in algebra:
                 return False
-            for op in ops:
-                if op in _KNOWN_BINARY:
-                    if semantics.semantic_operator(op, m, a, b) not in algebra:
-                        return False
+            for op in binary_ops:
+                if semantics.semantic_operator(op, m, a, b) not in algebra:
+                    return False
     return True
 
 
@@ -160,12 +153,11 @@ def descriptive_box_check(m: Model, algebra: SetAlgebra, index: int = 1):
     deserves the name descriptive is a duality-theoretic question
     about the underlying intuitionistic frame, and nothing in this
     module answers it."""
-    r = semantics.box_relation(m, index)
+    succ = semantics._successors(m, Box, index)
     box_of = {a: semantics.semantic_operator(f"boxbar_{index}", m, a)
               for a in algebra}
-    succ = rel.successors(r)
     for x in m.states:
-        reachable = succ.get(x, frozenset())
+        reachable = succ[x]
         for y in m.states:
             if y in reachable:
                 continue

@@ -146,6 +146,7 @@ class Model:
                     f"{sorted(unknown)[0]!r}")
             self.valuation[atom] = xs
         self._eval_cache: dict = {}
+        self._succ_table: dict = {}  # see semantics._successors
         self._validation: ValidationReport | None = None
 
     @classmethod

@@ -14,8 +14,6 @@ from typing import Iterable
 Pair = tuple[str, str]
 Relation = frozenset[Pair]
 
-EMPTY: Relation = frozenset()
-
 
 def identity(states: Iterable[str]) -> Relation:
     return frozenset((s, s) for s in states)
@@ -89,10 +87,6 @@ def preorder_closure(pairs: Iterable[Pair], states: Iterable[str]) -> Relation:
     return transitive_closure([pairs], reflexive=True, states=states)
 
 
-def is_reflexive(r: frozenset[Pair], states: Iterable[str]) -> bool:
-    return all((s, s) in r for s in states)
-
-
 def missing_transitivity(r: frozenset[Pair]) -> Pair | None:
     """First (in sorted order) composable pair whose composite is missing,
     or None when r is transitive."""
@@ -104,16 +98,6 @@ def missing_transitivity(r: frozenset[Pair]) -> Pair | None:
     return None
 
 
-def up_set(r: Iterable[Pair], x: str) -> set[str]:
-    """Targets of x under r.  For a preorder this is the up-set of x
-    (x itself included through reflexivity)."""
-    return {b for a, b in r if a == x}
-
-
-def down_set(r: Iterable[Pair], x: str) -> set[str]:
-    return {a for a, b in r if b == x}
-
-
 def upward_closure(leq: Iterable[Pair], xs: Iterable[str]) -> frozenset[str]:
     base = set(xs)
     return frozenset(base | {b for a, b in leq if a in base})
@@ -121,20 +105,3 @@ def upward_closure(leq: Iterable[Pair], xs: Iterable[str]) -> frozenset[str]:
 
 def is_upset(leq: Iterable[Pair], xs: frozenset[str]) -> bool:
     return all(b in xs for a, b in leq if a in xs)
-
-
-def all_upsets(leq: Iterable[Pair], states: tuple[str, ...]) -> list[frozenset[str]]:
-    """Every upward closed subset of the carrier, sorted canonically.
-
-    Exponential in the number of states; intended for the desk-scale
-    models this package handles.
-    """
-    leq = frozenset(leq)
-    found = []
-    n = len(states)
-    for mask in range(1 << n):
-        xs = frozenset(states[i] for i in range(n) if mask >> i & 1)
-        if is_upset(leq, xs):
-            found.append(xs)
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    return found

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import kripkit as kk
 from kripkit import Fragment, Model, build_example
-from kripkit.bisim import (ConditionSet, bisimilarity_partition, clause_kind,
+from kripkit.bisim import (ConditionSet, bisimilarity_partition,
                            conditions_for, directed_conversion,
-                           greatest_bisimulation, is_bisimulation)
+                           greatest_bisimulation, is_bisimulation,
+                           resolved_tasks)
 from kripkit.errors import FlavorError, PreconditionError
 from kripkit.sampling import random_model
 
@@ -79,14 +80,20 @@ def test_conditions_for_rejections():
 
 
 def test_clause_kind():
-    assert clause_kind("order_forth") == ("imp", None)
-    assert clause_kind("order_back") == ("imp", None)
-    assert clause_kind("dual_forth") == ("sub", None)
-    assert clause_kind("dual_back") == ("sub", None)
-    assert clause_kind("box10_zag") == ("box", 10)
-    assert clause_kind("dia3_zig") == ("dia", 3)
-    assert clause_kind("tdia2_zig") == ("tdia", 2)
-    assert clause_kind("tbox1_zag") == ("tbox", 1)
+    loop = {("a", "a")}
+    m = Model.make(["a"], [], boxes=[loop] * 10, diamonds=[loop] * 3)
+    conditions = ConditionSet(True, True, True, True, boxes=(10,),
+                              diamonds=(3,), tdias=(2,), tboxes=(1,))
+    kind = {t.clause: (t.shape, t.index)
+            for t in resolved_tasks(conditions, m, m)}
+    assert kind["order_forth"] == ("imp", None)
+    assert kind["order_back"] == ("imp", None)
+    assert kind["dual_forth"] == ("sub", None)
+    assert kind["dual_back"] == ("sub", None)
+    assert kind["box10_zag"] == ("box", 10)
+    assert kind["dia3_zig"] == ("dia", 3)
+    assert kind["tdia2_zig"] == ("tdia", 2)
+    assert kind["tbox1_zag"] == ("tbox", 1)
 
 
 def test_wedge_refinement():

@@ -228,10 +228,11 @@ def test_closure_verb(capsys, wedge_path):
 
 
 def test_closure_rejects_unknown_ops(capsys, wedge_path):
-    assert_one_line_error(
-        capsys, ["closure", "--model", wedge_path,
-                 "--generators", "valuation", "--ops", "bogus"],
-        "bogus")
+    for op in ("bogus", "boxbar_0"):
+        assert_one_line_error(
+            capsys, ["closure", "--model", wedge_path,
+                     "--generators", "valuation", "--ops", op],
+            op)
 
 
 def test_closure_rejects_generators_that_are_not_state_lists(capsys,

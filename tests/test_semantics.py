@@ -209,3 +209,143 @@ def test_monotone_operators_respect_inclusion(seed):
     assert a <= b
     assert truth_set(parse("[]1 (p & q)"), m) <= truth_set(parse("[]1 p"), m)
     assert truth_set(parse("<>1 (p & q)"), m) <= truth_set(parse("<>1 p"), m)
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluator: every modal node applies rel.successors to the
+# public effective relation afresh, with no per-model successor table.
+
+
+def _ref_forall(m, relation, a):
+    succ = rel.successors(relation)
+    return frozenset(x for x in m.states if succ.get(x, frozenset()) <= a)
+
+
+def _ref_exists(m, relation, a):
+    succ = rel.successors(relation)
+    return frozenset(x for x in m.states if succ.get(x, frozenset()) & a)
+
+
+def reference_truth_set(f, m, ck_reflexive=False):
+    def ev(g):
+        return reference_truth_set(g, m, ck_reflexive)
+
+    if isinstance(f, kk.Atom):
+        return m.valuation.get(f.name, frozenset())
+    if isinstance(f, kk.Top):
+        return m.state_set
+    if isinstance(f, kk.Bot):
+        return frozenset()
+    if isinstance(f, kk.And):
+        return ev(f.left) & ev(f.right)
+    if isinstance(f, kk.Or):
+        return ev(f.left) | ev(f.right)
+    if isinstance(f, kk.Imp):
+        a, b = ev(f.left), ev(f.right)
+        return frozenset(x for x in m.states if m.up_map[x] & a <= b)
+    if isinstance(f, kk.Sub):
+        a, b = ev(f.left), ev(f.right)
+        return frozenset(x for x in m.states if m.down_map[x] & a - b)
+    if isinstance(f, kk.Box):
+        return _ref_forall(m, box_relation(m, f.index), ev(f.body))
+    if isinstance(f, kk.Dia):
+        return _ref_exists(m, dia_relation(m, f.index), ev(f.body))
+    if isinstance(f, kk.TDia):
+        return _ref_exists(m, back_dia_relation(m, f.index), ev(f.body))
+    if isinstance(f, kk.TBox):
+        return _ref_forall(m, back_box_relation(m, f.index), ev(f.body))
+    if isinstance(f, kk.Ck):
+        return _ref_forall(m, ck_relation(m, ck_reflexive), ev(f.body))
+    raise FlavorError(f"no evaluation clause for {type(f).__name__}")
+
+
+def reference_operator(kind, m, a, b=None):
+    for arg in (a, b):
+        if arg is not None and not rel.is_upset(m.leq, frozenset(arg)):
+            raise PreconditionError(
+                f"semantic operator arguments must be upsets; "
+                f"{sorted(arg)} is not upward closed")
+    if kind == "arrow":
+        return frozenset(x for x in m.states if m.up_map[x] & a <= b)
+    if kind == "coarrow":
+        return frozenset(x for x in m.states if m.down_map[x] & a - b)
+    name, _, suffix = kind.rpartition("_")
+    if name == "boxbar":
+        return _ref_forall(m, box_relation(m, int(suffix)), a)
+    return _ref_exists(m, dia_relation(m, int(suffix)), a)
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except (FlavorError, PreconditionError) as exc:
+        return (type(exc), str(exc))
+
+
+# Every modal operator and both arrows, on every flavor: where a flavor
+# cannot interpret one, both evaluators must raise the same FlavorError.
+EVERYTHING = kk.Fragment("biint", 2, 2, True)
+KINDS = ("arrow", "coarrow", "boxbar_1", "boxbar_2", "diabar_1", "diabar_2")
+FIXED = [parse(text) for text in ("C q", "C (p -> q)", "[]2 q", "<>2 p",
+                                  "<|1 p", "|>1 q", "<|2 (p -< q)")]
+
+
+def _differential_models():
+    for flavor, frag, kw in FLAVOR_FRAGMENTS:
+        for seed in range(6):
+            rng = random.Random(seed)
+            m = random_model(rng, flavor, n_states=5, strict=seed % 2 == 0,
+                             **kw)
+            yield m, frag, rng
+    gallery = [build_example("wedge"), build_example("wedge_strict"),
+               build_example("spines", (3,)), build_example("porcupine", (2,)),
+               build_example("porcupine_trimmed", (2,)),
+               build_example("omega_chain", (3,))]
+    for seed, m in enumerate(gallery):
+        yield m, kk.Fragment("biint", 1, 1), random.Random(seed)
+    yield EK, kk.Fragment("int", 2, 0), random.Random(0)
+
+
+def test_evaluators_agree_with_the_reference():
+    for m, frag, rng in _differential_models():
+        ek = m.flavor == "ek"
+        formulas = FIXED + [random_formula(rng, frag, 3, allow_ck=ek)
+                            for _ in range(12)]
+        formulas += [random_formula(rng, EVERYTHING, 2, allow_ck=True)
+                     for _ in range(12)]
+        sets = [m.state_set]
+        for f in formulas:
+            for ck in (False, True):
+                want = outcome(reference_truth_set, f, m, ck)
+                assert outcome(truth_set, f, m, ck) == want, (m, f, ck)
+                if isinstance(want, frozenset):
+                    sets.append(want)
+        sets = sorted(set(sets), key=sorted)[:5] + [frozenset({m.states[0]})]
+        for kind in KINDS:
+            for a in sets:
+                arg_lists = ([(a, b) for b in sets]
+                             if kind in ("arrow", "coarrow") else [(a,)])
+                for args in arg_lists:
+                    assert outcome(semantic_operator, kind, m, *args) == \
+                        outcome(reference_operator, kind, m, *args), \
+                        (m, kind, args)
+
+
+def test_effective_relations_are_built_once_per_model(monkeypatch):
+    calls = []
+    compose = rel.compose
+
+    def counting(r, s):
+        calls.append(None)
+        return compose(r, s)
+
+    monkeypatch.setattr(rel, "compose", counting)
+    counts = []
+    for depth in (50, 150):
+        m = random_model(random.Random(7), "h", n_states=15)
+        chain = parse("<>1 " * depth + "p")
+        calls.clear()
+        truth_set(chain, m)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
