@@ -22,9 +22,16 @@ which is why witness synthesis insists on strict condensation.
 
 conditions_for picks the clause set matching a syntactic fragment and
 a model flavor.  greatest_bisimulation refines the atom-agreeing
-relation in rounds: every pair is judged against the relation as it
-stood at the start of the round, so a removal's stage is meaningful
-(the distinguishing formula needs nesting depth at most the stage).
+relation in rounds, each judged against the relation as it stood at
+the start of the round, so a removal's stage is meaningful (the
+distinguishing formula needs nesting depth at most the stage).  It
+runs on a compiled kernel: states numbered in sorted order, the
+relation as row and column bit masks, each clause as successor masks.
+Only round 1 judges every pair.  A pair that held in round k can fail
+in round k+1 only if a successor pair under some clause left in round
+k, so each later round re-checks just the surviving predecessors of
+the last round's removals, and the trace is the one a full re-check
+of every pair would give.  is_bisimulation reads the same kernel.
 """
 
 from __future__ import annotations
@@ -139,9 +146,17 @@ class Task:
     index: int | None
 
 
-def _succ_map(relation: frozenset, states) -> dict[str, frozenset]:
-    raw = rel.successors(relation)
-    return {x: frozenset(raw.get(x, ())) for x in states}
+def _succ_map(relation: frozenset, states, backward: bool = False
+              ) -> dict[str, frozenset]:
+    """Successor map of relation over states, or of its converse."""
+    succ: dict[str, set] = {x: set() for x in states}
+    if backward:
+        for x, y in relation:
+            succ[y].add(x)
+    else:
+        for x, y in relation:
+            succ[x].add(y)
+    return {x: frozenset(ys) for x, ys in succ.items()}
 
 
 def _stored(model: Model, which: str, index: int) -> frozenset:
@@ -156,17 +171,23 @@ def _stored(model: Model, which: str, index: int) -> frozenset:
 def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
     """Instantiate the clause set against a concrete pair of models,
     in the fixed clause order."""
+    return [Task(*fields) for fields in _resolved(conditions, m, m2)]
+
+
+def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
+    """resolved_tasks as plain tuples in Task's field order, which is
+    all the refinement reads."""
     if m.flavor != m2.flavor:
         raise PreconditionError(
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
-    tasks: list[Task] = []
+    tasks: list[tuple] = []
 
     def add(clause, direction, shape, index, left, right):
-        tasks.append(Task(clause, direction, left, right, shape, index))
+        tasks.append((clause, direction, left, right, shape, index))
 
-    def add_modal(shape, index, left_rel, right_rel):
-        left = _succ_map(left_rel, m.states)
-        right = _succ_map(right_rel, m2.states)
+    def add_modal(shape, index, which, backward=False):
+        left = _succ_map(_stored(m, which, index), m.states, backward)
+        right = _succ_map(_stored(m2, which, index), m2.states, backward)
         add(f"{shape}{index}_zig", "zig", shape, index, left, right)
         add(f"{shape}{index}_zag", "zag", shape, index, left, right)
 
@@ -179,46 +200,136 @@ def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
     if conditions.dual_back:
         add("dual_back", "zag", "sub", None, m.down_map, m2.down_map)
     for i in conditions.boxes:
-        add_modal("box", i, _stored(m, "box", i), _stored(m2, "box", i))
+        add_modal("box", i, "box")
     for j in conditions.diamonds:
-        add_modal("dia", j, _stored(m, "dia", j), _stored(m2, "dia", j))
+        add_modal("dia", j, "dia")
     for i in conditions.tdias:
-        add_modal("tdia", i, rel.converse(_stored(m, "box", i)),
-                  rel.converse(_stored(m2, "box", i)))
+        add_modal("tdia", i, "box", backward=True)
     for j in conditions.tboxes:
-        add_modal("tbox", j, rel.converse(_stored(m, "dia", j)),
-                  rel.converse(_stored(m2, "dia", j)))
+        add_modal("tbox", j, "dia", backward=True)
     return tasks
 
 
-def _atom_disagreement(pair, m: Model, m2: Model, atoms) -> str | None:
-    x, x2 = pair
-    for a in atoms:
-        if ((x in m.valuation.get(a, _EMPTY))
-                != (x2 in m2.valuation.get(a, _EMPTY))):
-            return a
-    return None
+class _Kernel:
+    """The resolved clauses of one pair of models compiled to bit
+    masks, with the relation under refinement held the same way.
+
+    Both models' states are numbered in sorted name order, so walking
+    a mask's bits from low to high visits states in the order `sorted`
+    gives.  rows[i] holds the right states paired with left state i,
+    cols[j] the left states paired with right state j.  Each check is
+    (clause, zig, own, other, table): a zig reads left successors
+    (own, by i) against right ones (other, by j) through rows, a zag
+    the other way round through cols.  A check is compiled the first
+    time a pair reaches it, since on small models most pairs fail an
+    early clause; successor masks are built once per distinct (left,
+    right) map pair.
+    """
+
+    def __init__(self, clauses: list[tuple], m: Model, m2: Model):
+        self.states, self.states2 = m.states, m2.states
+        self.bit = {x: 1 << i for i, x in enumerate(m.states)}
+        self.bit2 = {x: 1 << j for j, x in enumerate(m2.states)}
+        self.rows = [0] * len(m.states)
+        self.cols = [0] * len(m2.states)
+        self.clauses = clauses
+        self.checks: list[tuple | None] = [None] * len(clauses)
+        self.maps: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+        self.atoms = sorted(set(m.valuation) | set(m2.valuation))
+        self.sig = _atom_signatures(m, self.atoms)
+        self.sig2 = _atom_signatures(m2, self.atoms)
+
+    def atom_disagreement(self, i: int, j: int) -> str | None:
+        """The first atom, in sorted order, that holds at exactly one of
+        left state i and right state j."""
+        differ = self.sig[i] ^ self.sig2[j]
+        if not differ:
+            return None
+        return self.atoms[(differ & -differ).bit_length() - 1]
+
+    def check(self, k: int) -> tuple:
+        """The compiled form of clauses[k]."""
+        clause, direction, left_map, right_map, _, _ = self.clauses[k]
+        key = (id(left_map), id(right_map))
+        if key not in self.maps:
+            self.maps[key] = (_masks(left_map, self.states, self.bit),
+                              _masks(right_map, self.states2, self.bit2))
+        left, right = self.maps[key]
+        if direction == "zig":
+            compiled = (clause, True, left, right, self.rows)
+        else:
+            compiled = (clause, False, right, left, self.cols)
+        self.checks[k] = compiled
+        return compiled
+
+    def first_failure(self, i: int, j: int, start: int = 0):
+        """The first clause, from checks[start] on, that pair (i, j)
+        fails against the current rows and cols, as (k, clause, side,
+        transition) naming the first transition the other side cannot
+        answer; None if they all hold."""
+        checks = self.checks
+        for k in range(start, len(checks)):
+            clause, zig, own, other, table = checks[k] or self.check(k)
+            if zig:
+                succ, cover = own[i], other[j]
+            else:
+                succ, cover = own[j], other[i]
+            while succ:
+                low = succ & -succ
+                y = low.bit_length() - 1
+                if not table[y] & cover:
+                    if zig:
+                        return (k, clause, "left",
+                                (self.states[i], self.states[y]))
+                    return (k, clause, "right",
+                            (self.states2[j], self.states2[y]))
+                succ ^= low
+        return None
+
+    def predecessors(self) -> list[tuple[list[int], list[int]]]:
+        """The transposed successor masks, one (left, right) entry per
+        distinct pair of successor maps."""
+        for k, compiled in enumerate(self.checks):
+            if compiled is None:
+                self.check(k)
+        return [(_transpose(left), _transpose(right))
+                for left, right in self.maps.values()]
 
 
-def _unmatched(pair, task: Task, holds):
-    """First transition out of `pair` the other side cannot answer, as
-    (side, src, tgt), or None if the clause is satisfied."""
-    x, x2 = pair
-    if task.direction == "zig":
-        targets = task.right.get(x2, _EMPTY)
-        for y in sorted(task.left.get(x, _EMPTY)):
-            if not any(holds((y, y2)) for y2 in targets):
-                return ("left", x, y)
-    else:
-        sources = task.left.get(x, _EMPTY)
-        for y2 in sorted(task.right.get(x2, _EMPTY)):
-            if not any(holds((y, y2)) for y in sources):
-                return ("right", x2, y2)
-    return None
+def _masks(mapping: Mapping[str, frozenset], states, bit) -> list[int]:
+    out = []
+    for x in states:
+        mask = 0
+        for y in mapping[x]:
+            mask |= bit[y]
+        out.append(mask)
+    return out
 
 
-def _all_atoms(m: Model, m2: Model) -> list[str]:
-    return sorted(set(m.valuation) | set(m2.valuation))
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _transpose(masks: list[int]) -> list[int]:
+    out = [0] * len(masks)
+    for x, succ in enumerate(masks):
+        for y in _bits(succ):
+            out[y] |= 1 << x
+    return out
+
+
+def _atom_signatures(m: Model, atoms: list[str]) -> list[int]:
+    """Per state, bit k set when atoms[k] holds there."""
+    sig = dict.fromkeys(m.states, 0)
+    for k, a in enumerate(atoms):
+        bit = 1 << k
+        for x in m.valuation.get(a, _EMPTY):
+            sig[x] |= bit
+    return list(sig.values())
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +361,24 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
         if x not in m.state_set or x2 not in m2.state_set:
             raise PreconditionError(
                 f"pair ({x}, {x2}) is not in the models' carriers")
-    tasks = resolved_tasks(conditions, m, m2)
-    atoms = _all_atoms(m, m2)
-    holds = pairs.__contains__
+    kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
+    index = {x: i for i, x in enumerate(m.states)}
+    index2 = {x: j for j, x in enumerate(m2.states)}
+    for x, x2 in pairs:
+        i, j = index[x], index2[x2]
+        kernel.rows[i] |= 1 << j
+        kernel.cols[j] |= 1 << i
     out: list[BisimViolation] = []
     for pair in sorted(pairs):
-        bad_atom = _atom_disagreement(pair, m, m2, atoms)
+        i, j = index[pair[0]], index2[pair[1]]
+        bad_atom = kernel.atom_disagreement(i, j)
         if bad_atom is not None:
             out.append(BisimViolation(pair, "atoms", "", (bad_atom,)))
-        for task in tasks:
-            tr = _unmatched(pair, task, holds)
-            if tr is not None:
-                out.append(BisimViolation(pair, task.clause, tr[0], tr[1:]))
+        failure = kernel.first_failure(i, j)
+        while failure is not None:
+            k, clause, side, transition = failure
+            out.append(BisimViolation(pair, clause, side, transition))
+            failure = kernel.first_failure(i, j, k + 1)
     return out
 
 
@@ -296,45 +413,81 @@ def greatest_bisimulation(m: Model, m2: Model,
 
     Starts from all atom-agreeing pairs and removes, round by round,
     every pair failing some clause.  Rounds are barriers: all removals
-    of a round are judged against the relation from the round before.
+    of a round are judged against the relation from the round before,
+    so a removal's stage bounds the nesting depth of a formula that
+    separates its pair.  Within a round, pairs are judged in sorted
+    order, each by its first failing clause in the fixed clause order
+    and that clause's first unmatched transition.
 
-    Every pair is re-checked each round, so the cost is about
-    |X|^2 * |X'|^2 * clauses in the worst case.  Partition-refinement
-    tricks would beat that asymptotically but would lose the per-pair
-    stage and violation record the formula synthesizer replays.
+    Round 1 judges every atom-agreeing pair.  After that the work
+    follows a worklist: a pair that held in round k can fail in round
+    k+1 only if one of its successor pairs under some clause (a pair
+    (y, y') with y a left and y' a right successor of the same map
+    pair) left in round k, since nothing else its clauses read has
+    changed.  So each later round judges only the surviving
+    predecessors of the previous round's removals, found through
+    transposed successor masks.  The trace is the one the naive
+    re-check of every pair in every round would produce.
 
     Returns (relation, RefinementTrace).
     """
-    tasks = resolved_tasks(conditions, m, m2)
-    atoms = _all_atoms(m, m2)
+    kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
+    states, states2 = m.states, m2.states
+    rows, cols = kernel.rows, kernel.cols
+    first_failure = kernel.first_failure
     removals: list[Removal] = []
-    b: set[tuple[str, str]] = set()
-    for x in m.states:
-        for x2 in m2.states:
-            bad_atom = _atom_disagreement((x, x2), m, m2, atoms)
+    for i, x in enumerate(states):
+        for j, x2 in enumerate(states2):
+            bad_atom = kernel.atom_disagreement(i, j)
             if bad_atom is None:
-                b.add((x, x2))
+                rows[i] |= 1 << j
+                cols[j] |= 1 << i
             else:
                 removals.append(Removal((x, x2), 0, "atoms", "", (bad_atom,)))
+    candidates = list(rows)
+    preds = None  # built once some pair outlives a round with removals
     stage = 0
     while True:
         stage += 1
-        frozen = frozenset(b)
-        holds = frozen.__contains__
-        doomed: list[Removal] = []
-        for pair in sorted(frozen):
-            for task in tasks:
-                tr = _unmatched(pair, task, holds)
-                if tr is not None:
-                    doomed.append(Removal(pair, stage, task.clause,
-                                          tr[0], tr[1:]))
-                    break
+        doomed: list[tuple[int, int, Removal]] = []
+        for i, row in enumerate(candidates):
+            while row:
+                low = row & -row
+                row ^= low
+                j = low.bit_length() - 1
+                failure = first_failure(i, j)
+                if failure is not None:
+                    _, clause, side, transition = failure
+                    doomed.append((i, j, Removal((states[i], states2[j]),
+                                                 stage, clause, side,
+                                                 transition)))
         if not doomed:
             break
-        for r in doomed:
-            b.discard(r.pair)
-        removals.extend(doomed)
-    return frozenset(b), RefinementTrace(tuple(removals), stage - 1)
+        gone: dict[int, int] = {}
+        for i, j, r in doomed:
+            rows[i] &= ~(1 << j)
+            cols[j] &= ~(1 << i)
+            gone[i] = gone.get(i, 0) | 1 << j
+            removals.append(r)
+        candidates = [0] * len(states)
+        if preds is None and any(rows):
+            preds = kernel.predecessors()
+        for pre, pre2 in preds or ():
+            for y, ys2 in gone.items():
+                hit = 0
+                while ys2:
+                    low = ys2 & -ys2
+                    ys2 ^= low
+                    hit |= pre2[low.bit_length() - 1]
+                xs = pre[y] if hit else 0
+                while xs:
+                    low = xs & -xs
+                    xs ^= low
+                    candidates[low.bit_length() - 1] |= hit
+        candidates = [c & row for c, row in zip(candidates, rows)]
+    pairs = frozenset((states[i], states2[j])
+                      for i, row in enumerate(rows) for j in _bits(row))
+    return pairs, RefinementTrace(tuple(removals), stage - 1)
 
 
 def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:

@@ -235,6 +235,30 @@ def test_closure_rejects_unknown_ops(capsys, wedge_path):
             op)
 
 
+def test_counts_above_the_stored_relations_are_rejected_first(
+        capsys, wedge_path, strict_path):
+    # wedge and wedge_strict store one box and no diamond; a count is
+    # compared with them before any clause set is built from it
+    huge = "1000000000"
+    pair = ["--left", wedge_path, "--right", strict_path]
+    for verb in ("bisim", "equiv", "hm-check"):
+        assert_one_line_error(
+            capsys, [verb] + pair + ["--fragment", "int", "--boxes", huge],
+            "clause needs box relation 2 but the model stores 1")
+        assert_one_line_error(
+            capsys, [verb] + pair + ["--fragment", "intdual",
+                                     "--diamonds", huge],
+            "clause needs dia relation 1 but the model stores 0")
+    assert_one_line_error(
+        capsys, ["quotient", "--model", wedge_path, "--fragment", "int",
+                 "--boxes", huge],
+        "clause needs box relation 2 but the model stores 1")
+    assert_one_line_error(
+        capsys, ["bisim"] + pair + ["--fragment", "int", "--boxes", huge,
+                                    "--flavor", "ek"],
+        "clause needs box relation 2 but the model stores 1")
+
+
 def test_closure_rejects_generators_that_are_not_state_lists(capsys,
                                                              wedge_path):
     assert_one_line_error(
