@@ -16,17 +16,19 @@ The clause vocabulary, in the fixed order used everywhere:
     tdia{i}_zig / tdia{i}_zag      over the converse of box relation i
     tbox{j}_zig / tbox{j}_zag      over the converse of diamond relation j
 
-Modal clauses always run over the stored relations, never the derived
-ones used by evaluation; on strictly condensed models the two agree,
-which is why witness synthesis insists on strict condensation.
+Modal clauses always run over the stored relations, which semantics'
+successor table keeps beside the derived ones used by evaluation; on
+strictly condensed models the two agree, which is why witness
+synthesis insists on strict condensation.
 
 conditions_for picks the clause set matching a syntactic fragment and
 a model flavor.  greatest_bisimulation refines the atom-agreeing
 relation in rounds, each judged against the relation as it stood at
 the start of the round, so a removal's stage is meaningful (the
 distinguishing formula needs nesting depth at most the stage).  It
-runs on a compiled kernel: states numbered in sorted order, the
-relation as row and column bit masks, each clause as successor masks.
+runs on a compiled kernel: the relation as row and column bit masks
+over the table's state numbering, each clause as the table's
+successor masks.
 Only round 1 judges every pair.  A pair that held in round k can fail
 in round k+1 only if a successor pair under some clause left in round
 k, so each later round re-checks just the surviving predecessors of
@@ -40,6 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from . import relations as rel
+from . import semantics
 from .errors import FlavorError, InternalCheckError, PreconditionError
 from .formula import Fragment
 from .model import EK, FS, GPT, H, STANDARD, TENSE, Model, Partition
@@ -146,28 +149,6 @@ class Task:
     index: int | None
 
 
-def _succ_map(relation: frozenset, states, backward: bool = False
-              ) -> dict[str, frozenset]:
-    """Successor map of relation over states, or of its converse."""
-    succ: dict[str, set] = {x: set() for x in states}
-    if backward:
-        for x, y in relation:
-            succ[y].add(x)
-    else:
-        for x, y in relation:
-            succ[x].add(y)
-    return {x: frozenset(ys) for x, ys in succ.items()}
-
-
-def _stored(model: Model, which: str, index: int) -> frozenset:
-    rels = model.boxes if which == "box" else model.diamonds
-    if not 1 <= index <= len(rels):
-        raise FlavorError(
-            f"clause needs {which} relation {index} but the model "
-            f"stores {len(rels)}")
-    return rels[index - 1]
-
-
 def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
     """Instantiate the clause set against a concrete pair of models,
     in the fixed clause order."""
@@ -182,59 +163,68 @@ def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
     tasks: list[tuple] = []
 
-    def add(clause, direction, shape, index, left, right):
-        tasks.append((clause, direction, left, right, shape, index))
+    def add(clause, direction, shape, index=None):
+        tasks.append((clause, direction,
+                      semantics._successors(m, shape, index),
+                      semantics._successors(m2, shape, index), shape, index))
 
-    def add_modal(shape, index, which, backward=False):
-        left = _succ_map(_stored(m, which, index), m.states, backward)
-        right = _succ_map(_stored(m2, which, index), m2.states, backward)
-        add(f"{shape}{index}_zig", "zig", shape, index, left, right)
-        add(f"{shape}{index}_zag", "zag", shape, index, left, right)
+    def add_modal(shape, index, which):
+        for model in (m, m2):
+            count = len(model.boxes if which == "box" else model.diamonds)
+            if not 1 <= index <= count:
+                raise FlavorError(
+                    f"clause needs {which} relation {index} but the model "
+                    f"stores {count}")
+        add(f"{shape}{index}_zig", "zig", shape, index)
+        add(f"{shape}{index}_zag", "zag", shape, index)
 
     if conditions.order_forth:
-        add("order_forth", "zig", "imp", None, m.up_map, m2.up_map)
+        add("order_forth", "zig", "imp")
     if conditions.order_back:
-        add("order_back", "zag", "imp", None, m.up_map, m2.up_map)
+        add("order_back", "zag", "imp")
     if conditions.dual_forth:
-        add("dual_forth", "zig", "sub", None, m.down_map, m2.down_map)
+        add("dual_forth", "zig", "sub")
     if conditions.dual_back:
-        add("dual_back", "zag", "sub", None, m.down_map, m2.down_map)
+        add("dual_back", "zag", "sub")
     for i in conditions.boxes:
         add_modal("box", i, "box")
     for j in conditions.diamonds:
         add_modal("dia", j, "dia")
     for i in conditions.tdias:
-        add_modal("tdia", i, "box", backward=True)
+        add_modal("tdia", i, "box")
     for j in conditions.tboxes:
-        add_modal("tbox", j, "dia", backward=True)
+        add_modal("tbox", j, "dia")
     return tasks
+
+
+# The table entry that runs along each clause shape's converse: the
+# predecessors of a state under one are its successors under the other.
+_CONVERSE = {"imp": "sub", "sub": "imp", "box": "tdia", "tdia": "box",
+             "dia": "tbox", "tbox": "dia"}
 
 
 class _Kernel:
     """The resolved clauses of one pair of models compiled to bit
     masks, with the relation under refinement held the same way.
 
-    Both models' states are numbered in sorted name order, so walking
-    a mask's bits from low to high visits states in the order `sorted`
-    gives.  rows[i] holds the right states paired with left state i,
-    cols[j] the left states paired with right state j.  Each check is
-    (clause, zig, own, other, table): a zig reads left successors
-    (own, by i) against right ones (other, by j) through rows, a zag
-    the other way round through cols.  A check is compiled the first
-    time a pair reaches it, since on small models most pairs fail an
-    early clause; successor masks are built once per distinct (left,
-    right) map pair.
+    semantics numbers states in sorted name order, so walking a mask's
+    bits from low to high visits states in the order `sorted` gives.
+    rows[i] holds the right states paired with left state i, cols[j]
+    the left states paired with right state j.  Each check is (clause,
+    zig, own, other, table): a zig reads left successors (own, by i)
+    against right ones (other, by j) through rows, a zag the other way
+    round through cols.  A check is compiled the first time a pair
+    reaches it, since on small models most pairs fail an early clause;
+    its successor masks are the table's entries for its shape.
     """
 
     def __init__(self, clauses: list[tuple], m: Model, m2: Model):
+        self.models = (m, m2)
         self.states, self.states2 = m.states, m2.states
-        self.bit = {x: 1 << i for i, x in enumerate(m.states)}
-        self.bit2 = {x: 1 << j for j, x in enumerate(m2.states)}
         self.rows = [0] * len(m.states)
         self.cols = [0] * len(m2.states)
         self.clauses = clauses
         self.checks: list[tuple | None] = [None] * len(clauses)
-        self.maps: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
         self.atoms = sorted(set(m.valuation) | set(m2.valuation))
         self.sig = _atom_signatures(m, self.atoms)
         self.sig2 = _atom_signatures(m2, self.atoms)
@@ -249,12 +239,9 @@ class _Kernel:
 
     def check(self, k: int) -> tuple:
         """The compiled form of clauses[k]."""
-        clause, direction, left_map, right_map, _, _ = self.clauses[k]
-        key = (id(left_map), id(right_map))
-        if key not in self.maps:
-            self.maps[key] = (_masks(left_map, self.states, self.bit),
-                              _masks(right_map, self.states2, self.bit2))
-        left, right = self.maps[key]
+        clause, direction, _, _, shape, index = self.clauses[k]
+        left, right = (semantics._succ_masks(model, shape, index)
+                       for model in self.models)
         if direction == "zig":
             compiled = (clause, True, left, right, self.rows)
         else:
@@ -287,39 +274,12 @@ class _Kernel:
         return None
 
     def predecessors(self) -> list[tuple[list[int], list[int]]]:
-        """The transposed successor masks, one (left, right) entry per
-        distinct pair of successor maps."""
-        for k, compiled in enumerate(self.checks):
-            if compiled is None:
-                self.check(k)
-        return [(_transpose(left), _transpose(right))
-                for left, right in self.maps.values()]
-
-
-def _masks(mapping: Mapping[str, frozenset], states, bit) -> list[int]:
-    out = []
-    for x in states:
-        mask = 0
-        for y in mapping[x]:
-            mask |= bit[y]
-        out.append(mask)
-    return out
-
-
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _transpose(masks: list[int]) -> list[int]:
-    out = [0] * len(masks)
-    for x, succ in enumerate(masks):
-        for y in _bits(succ):
-            out[y] |= 1 << x
-    return out
+        """The predecessor masks, (left, right), of each distinct table
+        entry the clauses read: the successor masks of its converse."""
+        entries = dict.fromkeys((_CONVERSE[shape], index)
+                                for *_, shape, index in self.clauses)
+        return [tuple(semantics._succ_masks(model, *entry)
+                      for model in self.models) for entry in entries]
 
 
 def _atom_signatures(m: Model, atoms: list[str]) -> list[int]:
@@ -362,8 +322,7 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
             raise PreconditionError(
                 f"pair ({x}, {x2}) is not in the models' carriers")
     kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
-    index = {x: i for i, x in enumerate(m.states)}
-    index2 = {x: j for j, x in enumerate(m2.states)}
+    index, index2 = semantics._index(m), semantics._index(m2)
     for x, x2 in pairs:
         i, j = index[x], index2[x2]
         kernel.rows[i] |= 1 << j
@@ -425,9 +384,9 @@ def greatest_bisimulation(m: Model, m2: Model,
     (y, y') with y a left and y' a right successor of the same map
     pair) left in round k, since nothing else its clauses read has
     changed.  So each later round judges only the surviving
-    predecessors of the previous round's removals, found through
-    transposed successor masks.  The trace is the one the naive
-    re-check of every pair in every round would produce.
+    predecessors of the previous round's removals, found through the
+    successor masks of each clause's converse.  The trace is the one
+    the naive re-check of every pair in every round would produce.
 
     Returns (relation, RefinementTrace).
     """
@@ -486,7 +445,8 @@ def greatest_bisimulation(m: Model, m2: Model,
                     candidates[low.bit_length() - 1] |= hit
         candidates = [c & row for c, row in zip(candidates, rows)]
     pairs = frozenset((states[i], states2[j])
-                      for i, row in enumerate(rows) for j in _bits(row))
+                      for i, row in enumerate(rows)
+                      for j in semantics._bits(row))
     return pairs, RefinementTrace(tuple(removals), stage - 1)
 
 

@@ -31,15 +31,17 @@ never as silently wrong output.
 bounded_equivalence_oracle goes the other way around: it saturates the
 fragment's formula algebra over both models at once (cheapest formula
 first only when a budget caps it) and declares two states equivalent
-when no generated formula splits them.  It shares no code with the
-refinement.  hennessy_milner_check ties the two together.
+when no generated formula splits them.  It saturates bit masks from
+semantics, by close_algebra's closure when no budget is given, and
+shares no code with the refinement.  hennessy_milner_check ties the
+two together.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Iterable
 
 from . import semantics
@@ -211,144 +213,19 @@ def verify_witnesses(witnesses: Iterable[Witness], m: Model,
 # Equivalence by formula saturation
 
 
-class _Table(dict):
-    """One connective's results, filled on first lookup and kept for a
-    single oracle call; a hit is a plain subscript.  A full table is
-    emptied before it grows further, so its memory stays bounded."""
-
-    # Keys are arbitrary state sets, up to 2^(n+m) of them.  On
-    # porcupine(3)/porcupine_trimmed(3) with biint a table reaches
-    # 58,880 keys (12 MB for both); this cap holds them near 4 MB at
-    # no measurable cost in time.
-    CAP = 1 << 14
-
-    def __init__(self, compute):
-        super().__init__()
-        self._compute = compute
-
-    def __missing__(self, key: int) -> int:
-        if len(self) >= self.CAP:
-            self.clear()
-        value = self[key] = self._compute(key)
-        return value
-
-
-def _bits_disjoint(masks: list[int], d: int) -> int:
-    """Bit k set where masks[k] and d share no bit."""
-    out, bit = 0, 1
-    for mask in masks:
-        if not mask & d:
-            out |= bit
-        bit <<= 1
-    return out
-
-
-def _bits_meeting(masks: list[int], d: int) -> int:
-    """Bit k set where masks[k] and d share a bit."""
-    out, bit = 0, 1
-    for mask in masks:
-        if mask & d:
-            out |= bit
-        bit <<= 1
-    return out
-
-
-class _UnionOps:
-    """Bitmask semantics on the disjoint union of two models.  Bit i is
-    the left model's i-th state in state order and bit n + j the right
-    model's j-th, so a signature pair (truth set here, truth set there)
-    is one integer and & and | act on it directly.  `arrows` holds imp
-    and/or sub as _Tables keyed by a & ~b, since that is all they
-    depend on; `unary` holds the modal operators as functions of a,
-    in the order boxes, diamonds, backward diamonds, backward boxes.
-    Each signature meets each modal operator once, so only the arrows
-    repeat work worth a table."""
-
-    def __init__(self, m: Model, m2: Model, frag: Fragment):
-        n = len(m.states)
-        self.index = {s: i for i, s in enumerate(m.states)}
-        self.index2 = {s: n + j for j, s in enumerate(m2.states)}
-        self.full = (1 << (n + len(m2.states))) - 1
-        self.arrows = []
-        if frag.base in ("int", "biint"):
-            self.arrows.append(_Table(partial(
-                _bits_disjoint, self._union_masks(m.up_map, m2.up_map))))
-        if frag.base in ("intdual", "biint"):
-            self.arrows.append(_Table(partial(
-                _bits_meeting, self._union_masks(m.down_map, m2.down_map))))
-        modal = [(Box, frag.n_boxes, True), (Dia, frag.m_diamonds, False)]
-        if frag.tense:
-            modal += [(TDia, frag.n_boxes, False),
-                      (TBox, frag.m_diamonds, True)]
-        self.unary = []
-        for op, count, universal in modal:
-            for i in range(1, count + 1):
-                succ = self._union_masks(semantics._successors(m, op, i),
-                                         semantics._successors(m2, op, i))
-                if universal:
-                    self.unary.append(
-                        lambda a, succ=succ: _bits_disjoint(succ, ~a))
-                else:
-                    self.unary.append(partial(_bits_meeting, succ))
-
-    def mask(self, xs, xs2=_EMPTY) -> int:
-        out = 0
-        for x in xs:
-            out |= 1 << self.index[x]
-        for x in xs2:
-            out |= 1 << self.index2[x]
-        return out
-
-    def _union_masks(self, left: dict, right: dict) -> list[int]:
-        """One mask per union state, from each side's map of related
-        states."""
-        return ([self.mask(left.get(s, _EMPTY)) for s in self.index]
-                + [self.mask(_EMPTY, right.get(s, _EMPTY))
-                   for s in self.index2])
-
-
 def _check_budget(budget: int | None) -> None:
     if budget is not None and budget < 0:
         raise PreconditionError(f"budget must be >= 0, got {budget}")
 
 
-def _closure(generators: list[int], ops: _UnionOps) -> list[int]:
-    """The least set of signatures holding the generators and closed
-    under every connective.  Each admitted signature is combined with
-    every one admitted no later than itself, both ways round for the
-    arrows, so every pair is combined exactly once."""
-    members = list(generators)
-    complements = [~x for x in members]
-    seen = set(members)
-    unary, arrows = ops.unary, ops.arrows
-    k = 0
-    while k < len(members):
-        a, not_a = members[k], complements[k]
-        k += 1
-        done = members[:k]
-        fresh = {op(a) for op in unary}
-        fresh.update([a & x for x in done])
-        fresh.update([a | x for x in done])
-        not_done = complements[:k]
-        for table in arrows:
-            fresh.update([table[a & not_x] for not_x in not_done])
-            fresh.update([table[x & not_a] for x in done])
-        fresh -= seen
-        seen |= fresh
-        members.extend(fresh)
-        complements.extend([~x for x in fresh])
-    return members
-
-
-def _budgeted_closure(generators: list[int], ops: _UnionOps,
+def _budgeted_closure(generators: list[int], unary: list, arrows: list,
                       budget: int) -> tuple[list[int], bool]:
     """Admit at most `budget` derived signatures, cheapest connective
     count first, ties broken by push order.  Returns the admitted
     signatures and whether the worklist ran dry first."""
-    unary = ops.unary
     binary = [(lambda a, b: a & b, True), (lambda a, b: a | b, True)]
-    binary += [(lambda a, b, table=table: table[a & ~b], False)
-               for table in ops.arrows]
+    binary += [(lambda a, b, table=semantics._Table(arrow): table[a & ~b],
+                False) for arrow in arrows]
 
     closed: dict[int, int] = dict.fromkeys(generators, 0)
     heap: list = []
@@ -412,25 +289,28 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
     Returns (relation, exact).
     """
     _check_budget(budget)
-    ops = _UnionOps(m, m2, frag)
+    kernel = semantics._Kernel([m, m2])
+    ops = semantics._connectives(frag)
+    unary = [kernel.connective(*op) for op in ops if op[1] is not None]
+    arrows = [kernel.connective(*op) for op in ops if op[1] is None]
     atoms = sorted(set(m.valuation) | set(m2.valuation))
-    generators = [0, ops.full] + [
-        ops.mask(m.valuation.get(a, _EMPTY), m2.valuation.get(a, _EMPTY))
+    generators = [0, (1 << len(m.states) + len(m2.states)) - 1] + [
+        semantics._mask(m, m.valuation.get(a, _EMPTY))
+        | semantics._mask(m2, m2.valuation.get(a, _EMPTY)) << kernel.offsets[1]
         for a in atoms]
-    generators = list(dict.fromkeys(generators))
     if budget is None:
-        closed, exact = _closure(generators, ops), True
+        closed, exact = semantics._closure(generators, unary, arrows), True
     else:
-        closed, exact = _budgeted_closure(generators, ops, budget)
+        closed, exact = _budgeted_closure(generators, unary, arrows, budget)
 
     def profile(bit: int) -> tuple[int, ...]:
         return tuple(sig >> bit & 1 for sig in closed)
 
     by_profile: dict[tuple[int, ...], list[str]] = {}
-    for y, bit in ops.index2.items():
-        by_profile.setdefault(profile(bit), []).append(y)
-    pairs = {(x, y) for x, bit in ops.index.items()
-             for y in by_profile.get(profile(bit), ())}
+    for j, y in enumerate(m2.states, kernel.offsets[1]):
+        by_profile.setdefault(profile(j), []).append(y)
+    pairs = {(x, y) for i, x in enumerate(m.states)
+             for y in by_profile.get(profile(i), ())}
     return frozenset(pairs), exact
 
 

@@ -16,7 +16,9 @@ Concrete syntax, binding tightest first:
 The two arrows bind equally weakly; a chain that mixes them without
 parentheses is rejected instead of silently picking a reading.
 `parse` and `to_string` round-trip: printing inserts exactly the
-parentheses needed to reparse to the same tree.
+parentheses needed to reparse to the same tree.  `parse` rejects
+formulas nested more than MAX_DEPTH levels deep, or inside more than
+MAX_DEPTH parentheses, with a ParseError.
 """
 
 from __future__ import annotations
@@ -226,7 +228,24 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent, one level per precedence tier.
+# Parser: recursive descent that recurses only into parentheses.
+
+# The deepest formula parse accepts: at most this many edges from the
+# root to a leaf, and at most this many nested parentheses.  Parsing
+# recurses twice per parenthesis; printing, translating, evaluating
+# and comparing recurse per level, and on Python 3.11 comparing two
+# equal trees built apart spends three levels of the default recursion
+# limit of 1000 per node.  300 leaves room for a caller's stack some 60
+# frames deep, and 150 levels of "[]1 (...) & q" are 300 deep.
+MAX_DEPTH = 300
+
+# Prefix operators: token kind -> node built around the operand.
+_PREFIX = {
+    "BOX": Box, "DIA": Dia, "TDIA": TDia, "TBOX": TBox,
+    "NEG": lambda _, f: Imp(f, Bot()),
+    "CONEG": lambda _, f: Sub(Top(), f),
+    "CK": lambda _, f: Ck(f),
+}
 
 
 class _Parser:
@@ -234,20 +253,30 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.length = length
+        self.parens = 0
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def formula(self) -> Formula:
-        return self.arrows()
-
-    def arrows(self) -> Formula:
-        items = [self.disjunction()]
+        """An arrow chain of disjunctions of conjunctions of operands."""
+        items = []
         kinds: list[tuple[str, int]] = []
-        while (tok := self.peek()) is not None and tok[0] in ("IMP", "SUB"):
+        while True:
+            disjunction, acc = None, self.operand()
+            while (tok := self.peek()) is not None and tok[0] in ("AND", "OR"):
+                self.pos += 1
+                if tok[0] == "AND":
+                    acc = And(acc, self.operand())
+                else:
+                    disjunction = (acc if disjunction is None
+                                   else Or(disjunction, acc))
+                    acc = self.operand()
+            items.append(acc if disjunction is None else Or(disjunction, acc))
+            if tok is None or tok[0] not in ("IMP", "SUB"):
+                break
             self.pos += 1
             kinds.append((tok[0], tok[2]))
-            items.append(self.disjunction())
         if not kinds:
             return items[0]
         for kind, at in kinds:
@@ -263,83 +292,70 @@ class _Parser:
             acc = Sub(acc, item)
         return acc
 
-    def disjunction(self) -> Formula:
-        acc = self.conjunction()
-        while (tok := self.peek()) is not None and tok[0] == "OR":
+    def operand(self) -> Formula:
+        """Prefix operators applied to an atom, a constant or a
+        parenthesised formula."""
+        prefixes = []
+        while (tok := self.peek()) is not None and tok[0] in _PREFIX:
             self.pos += 1
-            acc = Or(acc, self.conjunction())
-        return acc
-
-    def conjunction(self) -> Formula:
-        acc = self.unary()
-        while (tok := self.peek()) is not None and tok[0] == "AND":
-            self.pos += 1
-            acc = And(acc, self.unary())
-        return acc
-
-    def unary(self) -> Formula:
-        tok = self.peek()
+            prefixes.append(tok)
         if tok is None:
             raise ParseError("unexpected end of input", self.length)
         kind, value, at = tok
-        if kind == "BOX":
-            self.pos += 1
-            return Box(value, self.unary())
-        if kind == "DIA":
-            self.pos += 1
-            return Dia(value, self.unary())
-        if kind == "TDIA":
-            self.pos += 1
-            return TDia(value, self.unary())
-        if kind == "TBOX":
-            self.pos += 1
-            return TBox(value, self.unary())
-        if kind == "NEG":
-            self.pos += 1
-            return Imp(self.unary(), Bot())
-        if kind == "CONEG":
-            self.pos += 1
-            return Sub(Top(), self.unary())
-        if kind == "CK":
-            self.pos += 1
-            return Ck(self.unary())
-        return self.primary()
-
-    def primary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        kind, value, at = tok
+        self.pos += 1
         if kind == "ATOM":
-            self.pos += 1
-            return Atom(value)
-        if kind == "TOP":
-            self.pos += 1
-            return Top()
-        if kind == "BOT":
-            self.pos += 1
-            return Bot()
-        if kind == "LPAREN":
-            self.pos += 1
-            inner = self.arrows()
+            f: Formula = Atom(value)
+        elif kind == "TOP":
+            f = Top()
+        elif kind == "BOT":
+            f = Bot()
+        elif kind == "LPAREN":
+            self.parens += 1
+            if self.parens > MAX_DEPTH:
+                raise ParseError(f"parentheses nest more than {MAX_DEPTH} "
+                                 "deep", at)
+            f = self.formula()
+            self.parens -= 1
             closing = self.peek()
             if closing is None or closing[0] != "RPAREN":
                 raise ParseError("expected ')'",
                                  self.length if closing is None else closing[2])
             self.pos += 1
-            return inner
-        raise ParseError("expected a formula here", at)
+        else:
+            raise ParseError("expected a formula here", at)
+        for kind, value, _ in reversed(prefixes):
+            f = _PREFIX[kind](value, f)
+        return f
+
+
+def _height(f: Formula) -> int:
+    """Edges on the longest path from f down to a leaf, found level by
+    level without recursion.  Fields are read by name: vars() would
+    give every node a __dict__ of its own, which slows each later
+    attribute read and hash."""
+    level, height = [f], -1
+    while level:
+        height += 1
+        level = [child for g in level for child in (
+            (g.left, g.right) if isinstance(g, (And, Or, Imp, Sub)) else
+            () if isinstance(g, (Atom, Top, Bot)) else (g.body,))]
+    return height
 
 
 def parse(text: str) -> Formula:
     """Parse concrete syntax into a formula tree.
 
-    :raises ParseError: on malformed input, with the offending offset.
+    :raises ParseError: on malformed input, with the offending offset,
+        and on formulas nested more than MAX_DEPTH deep.
     """
     parser = _Parser(_tokenize(text), len(text))
     result = parser.formula()
     if (tok := parser.peek()) is not None:
         raise ParseError("unexpected trailing input", tok[2])
+    # a formula is never deeper than its count of operator tokens
+    if len(parser.tokens) > MAX_DEPTH and _height(result) > MAX_DEPTH:
+        raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep",
+                         0)
     return result
 
 

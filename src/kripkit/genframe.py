@@ -3,9 +3,10 @@
 A set algebra is a family of state sets containing the empty set and
 the whole carrier.  close_algebra grows a family of generators until
 it is closed under intersection, union, and a chosen list of set
-operators; is_general_model asks whether a family supports a whole
-fragment; descriptive_box_check asks whether the box relation can be
-read back off the algebra, the finite shadow of descriptiveness:
+operators, by the oracle's closure over the model's bit masks;
+is_general_model asks whether a family supports a whole fragment;
+descriptive_box_check asks whether the box relation can be read back
+off the algebra, the finite shadow of descriptiveness:
 
     x R y  iff  every admissible a with x in box(a) contains y
 
@@ -15,11 +16,12 @@ always a pair related by the algebra but not by R.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 from . import relations as rel
 from . import semantics
-from .errors import ModelFormatError
+from .errors import ModelFormatError, PreconditionError
 from .formula import Box, Fragment
 from .model import Model
 
@@ -61,23 +63,17 @@ class SetAlgebra:
         return [sorted(s) for s in self.sets]
 
 
-def _by_arity(ops: Iterable[str]) -> tuple[list[str], list[str]]:
-    """Split operator names into unary and binary ones; a malformed
-    name raises ValueError."""
-    split: tuple[list[str], list[str]] = ([], [])
-    for op in ops:
-        arity, _ = semantics._operator(op)
-        split[arity - 1].append(op)
-    return split
-
-
 def close_algebra(m: Model, generators: Iterable[Iterable[str]],
                   ops: Sequence[str] = ()) -> SetAlgebra:
     """Close a family of generators under intersection, union, and the
     named operators ("arrow", "coarrow", "boxbar_i", "diabar_j").  The
     empty set and the carrier are always thrown in.  Terminates
-    because there are only finitely many state sets."""
-    unary_ops, binary_ops = _by_arity(ops)
+    because there are only finitely many state sets.  Raises ValueError
+    on an unknown name, then ModelFormatError on an unknown state, then
+    FlavorError on an operator the model cannot interpret, then, with
+    ops given, PreconditionError on the first non-upset generator in
+    canonical order or on a non-upset operator result."""
+    entries = [semantics._operator(op) for op in ops]
     family: set[frozenset] = {frozenset(), m.state_set}
     for g in generators:
         g = frozenset(g)
@@ -86,21 +82,30 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
             raise ModelFormatError(
                 f"generator mentions unknown state {sorted(unknown)[0]!r}")
         family.add(g)
-    while True:
-        new: set[frozenset] = set()
-        members = sorted(family, key=_canon_key)
-        for a in members:
-            for op in unary_ops:
-                new.add(semantics.semantic_operator(op, m, a))
-            for b in members:
-                new.add(a & b)
-                new.add(a | b)
-                for op in binary_ops:
-                    new.add(semantics.semantic_operator(op, m, a, b))
-        new -= family
-        if not new:
-            return SetAlgebra(family)
-        family |= new
+    kernel = semantics._Kernel([m])
+    unary = [kernel.connective(*e) for e in entries if e[1] is not None]
+    arrows = [kernel.connective(*e) for e in entries if e[1] is None]
+
+    def states(a: int) -> frozenset:
+        return frozenset(m.states[i] for i in semantics._bits(a))
+
+    if entries:
+        up = semantics._succ_masks(m, "imp")
+
+        def upset(a: int) -> int:
+            if any(up[i] & ~a for i in semantics._bits(a)):
+                raise PreconditionError(
+                    f"semantic operator arguments must be upsets; "
+                    f"{sorted(states(a))} is not upward closed")
+            return a
+
+        for g in sorted(family, key=_canon_key):
+            upset(semantics._mask(m, g))
+        unary = [lambda a, op=op: upset(op(a)) for op in unary]
+        arrows = [lambda d, op=op: upset(op(d)) for op in arrows]
+    members = semantics._closure([semantics._mask(m, g) for g in family],
+                                 unary, arrows)
+    return SetAlgebra(map(states, members))
 
 
 def is_general_model(m: Model, algebra: SetAlgebra,
@@ -118,24 +123,22 @@ def is_general_model(m: Model, algebra: SetAlgebra,
     for xs in m.valuation.values():
         if xs not in algebra:
             return False
-    ops: list[str] = []
-    if frag.base in ("int", "biint"):
-        ops.append("arrow")
-    if frag.base in ("intdual", "biint"):
-        ops.append("coarrow")
-    ops += [f"boxbar_{i}" for i in range(1, frag.n_boxes + 1)]
-    ops += [f"diabar_{j}" for j in range(1, frag.m_diamonds + 1)]
-    unary_ops, binary_ops = _by_arity(ops)
-    for a in algebra:
-        for op in unary_ops:
-            if semantics.semantic_operator(op, m, a) not in algebra:
+    kernel = semantics._Kernel([m])
+    masks = {semantics._mask(m, a) for a in algebra}
+    unary, arrows = [], []
+    for key, index in semantics._connectives(replace(frag, tense=False)):
+        op = kernel.connective(key, index)
+        if index is not None and op(0) not in masks:
+            return False  # before an operator further on can fail
+        (arrows if index is None else unary).append(op)
+    for a in masks:
+        if any(op(a) not in masks for op in unary):
+            return False
+        for b in masks:
+            if (a & b) not in masks or (a | b) not in masks:
                 return False
-        for b in algebra:
-            if (a & b) not in algebra or (a | b) not in algebra:
+            if any(op(a & ~b) not in masks for op in arrows):
                 return False
-            for op in binary_ops:
-                if semantics.semantic_operator(op, m, a, b) not in algebra:
-                    return False
     return True
 
 

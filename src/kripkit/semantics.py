@@ -24,22 +24,25 @@ on ek models only and quantifies over chains of knowledge steps (the
 positive transitive closure of the union; pass ck_reflexive=True for
 the reflexive variant).
 
-Each model keeps one successor table: the successor map of the
-effective relation of operator (op, i), with ck_reflexive in place of
-i for C, is built the first time any evaluator asks for it and read
-from then on.  truth_set, semantic_operator, genframe and the oracle
-in distinguish all read these maps, so the choice of relation above is
-made here and nowhere else.  Truth sets are cached on the model as
-well, keyed by formula, so repeated evaluation during bisimulation
-checks stays cheap.
+Each model keeps one successor table, built entry by entry on first
+request: an operator class keys the effective relation above, so that
+choice is made here only, and a bisim clause shape keys the stored
+relation that clause reads.  The table numbers the states and holds
+each entry as bit masks too, which the refinement reads; _Kernel lays
+several models' masks side by side for the oracle and close_algebra,
+and _closure saturates families of them.  Truth sets are cached on the
+model as well, so repeated evaluation stays cheap.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import accumulate
+
 from . import relations as rel
 from .errors import FlavorError, PreconditionError
-from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Imp, Or, Sub,
-                      TBox, TDia, Top)
+from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
+                      Or, Sub, TBox, TDia, Top)
 from .model import EK, FS, GPT, H, STANDARD, TENSE, Model
 
 
@@ -137,19 +140,174 @@ _MODAL = {Box: (box_relation, _forall), Dia: (dia_relation, _exists),
           TDia: (back_dia_relation, _exists),
           TBox: (back_box_relation, _forall), Ck: (ck_relation, _forall)}
 
+# The stored relation each bisim clause shape reads.
+_STORED = {"imp": lambda m, _: m.leq, "sub": lambda m, _: m.geq,
+           "box": _stored_box, "dia": _stored_dia,
+           "tdia": lambda m, i: rel.converse(_stored_box(m, i)),
+           "tbox": lambda m, i: rel.converse(_stored_dia(m, i))}
 
-def _successors(m: Model, op: type, index) -> dict[str, frozenset]:
-    """Successor map, total on m's states, of the effective relation
-    interpreting operator op (a key of _MODAL) with this index, or
-    with ck_reflexive for Ck.  Built once per model; a FlavorError is
-    raised on every request the model cannot interpret."""
-    key = (op, index)
-    succ = m._succ_table.get(key)
+
+def _successors(m: Model, key, index=None) -> dict[str, frozenset]:
+    """Successor map, total on m's states, of table entry (key, index):
+    the effective relation of operator key (a key of _MODAL), with
+    ck_reflexive for index on Ck, or the stored one of clause shape key
+    (a key of _STORED).  Built once per model; a FlavorError is raised
+    on every request the model cannot interpret."""
+    succ = m._succ_table.get((key, index))
     if succ is None:
-        raw = rel.successors(_MODAL[op][0](m, index))
-        succ = m._succ_table[key] = {x: frozenset(raw.get(x, ()))
-                                     for x in m.states}
+        relation = (_MODAL[key][0] if key in _MODAL else _STORED[key])
+        raw = rel.successors(relation(m, index))
+        succ = m._succ_table[key, index] = {x: frozenset(raw.get(x, ()))
+                                            for x in m.states}
     return succ
+
+
+def _index(m: Model) -> dict[str, int]:
+    """m's states numbered in state order: state i is bit 1 << i."""
+    index = m._succ_table.get("index")
+    if index is None:
+        index = m._succ_table["index"] = {x: i for i, x in enumerate(m.states)}
+    return index
+
+
+def _mask(m: Model, xs) -> int:
+    index = _index(m)
+    out = 0
+    for x in xs:
+        out |= 1 << index[x]
+    return out
+
+
+def _succ_masks(m: Model, key, index=None) -> list[int]:
+    """Table entry (key, index) as successor masks, one per state."""
+    masks = m._succ_table.get((key, index, int))
+    if masks is None:
+        succ = _successors(m, key, index)
+        masks = m._succ_table[key, index, int] = [_mask(m, succ[x])
+                                                  for x in m.states]
+    return masks
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _bits_disjoint(masks: list[int], d: int) -> int:
+    """Bit k set where masks[k] and d share no bit."""
+    out, bit = 0, 1
+    for mask in masks:
+        if not mask & d:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+def _bits_meeting(masks: list[int], d: int) -> int:
+    """Bit k set where masks[k] and d share a bit."""
+    out, bit = 0, 1
+    for mask in masks:
+        if mask & d:
+            out |= bit
+        bit <<= 1
+    return out
+
+
+class _Kernel:
+    """Bit masks over models laid side by side: bit offsets[k] + i is
+    the i-th state of models[k], so one integer holds a state set of
+    every model at once, and & and | act on all of them.  Each model's
+    masks come from its own table, shifted past the models before it."""
+
+    def __init__(self, models: list[Model]):
+        self.models = models
+        self.offsets = list(accumulate([len(m.states) for m in models[:-1]],
+                                       initial=0))
+
+    def connective(self, key, index=None):
+        """Table entry (key, index) as a connective on masks: for the
+        arrows "imp" and "sub" (index None) a function of a & ~b, since
+        that is all imp(a, b) and sub(a, b) depend on, and for a key of
+        _MODAL a function of a.  A closure meets each unary connective
+        once per mask, so only the arrows repeat work worth a _Table."""
+        succ = [x << shift for m, shift in zip(self.models, self.offsets)
+                for x in _succ_masks(m, key, index)]
+        if key == "imp":
+            return partial(_bits_disjoint, succ)
+        if key == "sub":
+            return partial(_bits_meeting, succ)
+        if _MODAL[key][1] is _forall:
+            return lambda a: _bits_disjoint(succ, ~a)
+        return partial(_bits_meeting, succ)
+
+
+def _connectives(frag: Fragment) -> list[tuple]:
+    """The fragment's connectives besides & and |, as table entries:
+    its arrows, then its boxes, diamonds, backward diamonds and
+    backward boxes."""
+    ops: list[tuple] = []
+    if frag.base in ("int", "biint"):
+        ops.append(("imp", None))
+    if frag.base in ("intdual", "biint"):
+        ops.append(("sub", None))
+    modal = [(Box, frag.n_boxes), (Dia, frag.m_diamonds)]
+    if frag.tense:
+        modal += [(TDia, frag.n_boxes), (TBox, frag.m_diamonds)]
+    ops += [(op, i) for op, count in modal for i in range(1, count + 1)]
+    return ops
+
+
+class _Table(dict):
+    """One arrow's results, filled on first lookup and kept for a
+    single closure; a hit is a plain subscript.  A full table is
+    emptied before it grows further, so its memory stays bounded."""
+
+    # Keys are arbitrary state sets, up to 2^(n+m) of them.  On
+    # porcupine(3)/porcupine_trimmed(3) with biint a table reaches
+    # 58,880 keys (12 MB for both); this cap holds them near 4 MB at
+    # no measurable cost in time.
+    CAP = 1 << 14
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: int) -> int:
+        if len(self) >= self.CAP:
+            self.clear()
+        value = self[key] = self._compute(key)
+        return value
+
+
+def _closure(generators: list[int], unary: list, arrows: list) -> list[int]:
+    """The least set of masks holding the generators and closed under &
+    and | and the given _Kernel connectives.  Each admitted mask meets
+    every one admitted no later than itself, both ways round for the
+    arrows, so every pair is combined exactly once."""
+    members = list(dict.fromkeys(generators))
+    complements = [~x for x in members]
+    seen = set(members)
+    tables = [_Table(arrow) for arrow in arrows]
+    k = 0
+    while k < len(members):
+        a, not_a = members[k], complements[k]
+        k += 1
+        done = members[:k]
+        fresh = {op(a) for op in unary}
+        fresh.update([a & x for x in done])
+        fresh.update([a | x for x in done])
+        not_done = complements[:k]
+        for table in tables:
+            fresh.update([table[a & not_x] for not_x in not_done])
+            fresh.update([table[x & not_a] for x in done])
+        fresh -= seen
+        seen |= fresh
+        members.extend(fresh)
+        complements.extend([~x for x in fresh])
+    return members
 
 
 def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
@@ -189,22 +347,19 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
     return out
 
 
+_ARROWS = {"arrow": ("imp", _imp), "coarrow": ("sub", _sub)}
 _BARS = {"boxbar": Box, "diabar": Dia}
 
 
-def _operator(kind: str):
-    """Parse a set-level connective name into its arity and its clause,
-    a function of the model and the argument sets.  Raises ValueError
-    on any other name."""
-    if kind == "arrow":
-        return 2, _imp
-    if kind == "coarrow":
-        return 2, _sub
+def _operator(kind: str) -> tuple:
+    """Parse a set-level connective name into the table entry (key,
+    index) it reads: index None for the binary arrows "imp" and "sub",
+    at least 1 for Box and Dia.  Raises ValueError on any other name."""
+    if kind in _ARROWS:
+        return _ARROWS[kind][0], None
     name, _, suffix = kind.rpartition("_")
     if name in _BARS and suffix.isdigit() and int(suffix) >= 1:
-        op, index = _BARS[name], int(suffix)
-        clause = _MODAL[op][1]
-        return 1, lambda m, a: clause(m.states, _successors(m, op, index), a)
+        return _BARS[name], int(suffix)
     raise ValueError(f"unknown semantic operator {kind!r}")
 
 
@@ -219,9 +374,11 @@ def semantic_operator(kind: str, m: Model, a: frozenset,
             raise PreconditionError(
                 f"semantic operator arguments must be upsets; "
                 f"{sorted(arg)} is not upward closed")
-    arity, clause = _operator(kind)
-    if arity == 2 and b is None:
+    key, index = _operator(kind)
+    if index is None and b is None:
         raise ValueError(f"{kind} needs two arguments")
-    if arity == 1 and b is not None:
+    if index is not None and b is not None:
         raise ValueError(f"{kind} takes one argument")
-    return clause(m, a) if b is None else clause(m, a, b)
+    if index is None:
+        return _ARROWS[kind][1](m, a, b)
+    return _MODAL[key][1](m.states, _successors(m, key, index), a)

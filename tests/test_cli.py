@@ -55,6 +55,13 @@ def test_example_verb(capsys):
     assert "s3_3" in data["states"]
 
 
+def test_example_refuses_models_past_the_size_ceiling(capsys):
+    assert_one_line_error(capsys, ["example", "--name", "spines(100000000)"],
+                          "examples stop at 10000")
+    assert_one_line_error(capsys, ["example", "--name", "omega_chain(5000)"],
+                          "examples stop at 10000")
+
+
 def test_example_rejects_garbled_names(capsys):
     assert main(["example", "--name", "spines(two)"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -214,6 +221,30 @@ def test_translate_verb(capsys):
     data = run_json(capsys, ["translate", "--formula", "p -> q"])
     assert data == {"formula": "q -< p"}
     assert main(["translate", "--formula", "p -> ->"]) == 1
+
+
+def test_over_deep_formulas_are_one_line_errors(capsys, wedge_path):
+    for text in ("[]1 " * 3000 + "p", "(" * 3000 + "p" + ")" * 3000,
+                 "[]1 " * 450 + "p"):
+        assert_one_line_error(
+            capsys, ["eval", "--model", wedge_path, "--formula", text],
+            "more than 300")
+        assert_one_line_error(capsys, ["translate", "--formula", text],
+                              "more than 300")
+
+
+def test_the_benchmark_ladder_still_evaluates(capsys, wedge_path):
+    chain = "q"
+    for _ in range(150):
+        chain = f"[]1 ({chain}) & q"
+    data = run_json(capsys, ["eval", "--model", wedge_path,
+                             "--formula", chain])
+    assert data == {"truth_set": ["z"]}
+    # two equal 299-deep operands, compared node by node when cached
+    deep = "[]1 " * 299 + "p"
+    data = run_json(capsys, ["eval", "--model", wedge_path,
+                             "--formula", f"({deep}) -> ({deep})"])
+    assert data == {"truth_set": ["x", "y", "z"]}
 
 
 def test_closure_verb(capsys, wedge_path):

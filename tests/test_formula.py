@@ -61,6 +61,30 @@ def test_bad_input_reports_position():
         assert e.position == 4
 
 
+def test_over_deep_formulas_are_parse_errors():
+    # each of these used to end in a RecursionError
+    for text in ("[]1 " * 3000 + "p", "(" * 3000 + "p" + ")" * 3000,
+                 "p & " * 3000 + "p", "p -> " * 3000 + "p", "~" * 3000 + "p"):
+        with pytest.raises(ParseError, match="more than 300"):
+            parse(text)
+    with pytest.raises(ParseError) as info:
+        parse("(" * 301 + "p" + ")" * 301)
+    assert info.value.position == 300
+
+
+def test_formulas_at_the_depth_limit_parse_and_print():
+    chain = "q"
+    for _ in range(150):
+        chain = f"[]1 ({chain}) & q"
+    for text in (chain, "[]1 " * 300 + "p", "(" * 300 + "p" + ")" * 300,
+                 "p -> " * 300 + "p"):
+        f = parse(text)
+        assert parse(to_string(f)) == f
+        assert translate(translate(f)) == f
+    with pytest.raises(ParseError):
+        parse("[]1 " * 301 + "p")
+
+
 def test_to_string_frozen():
     assert to_string(Imp(And(p, q), r)) == "p & q -> r"
     assert to_string(Imp(Imp(p, q), r)) == "(p -> q) -> r"

@@ -4,7 +4,7 @@ import pytest
 
 import kripkit as kk
 from kripkit import Fragment, Model, build_example
-from kripkit.errors import ModelFormatError
+from kripkit.errors import FlavorError, ModelFormatError
 from kripkit.genframe import (SetAlgebra, algebra_from_lists, close_algebra,
                               descriptive_box_check, is_general_model)
 
@@ -60,6 +60,18 @@ def test_is_general_model():
     open_arrow = SetAlgebra([frozenset(), WEDGE.state_set,
                              WEDGE.valuation["p"], WEDGE.valuation["q"]])
     assert not is_general_model(WEDGE, open_arrow, Fragment("int", 0, 0))
+
+
+def test_is_general_model_checks_operators_in_order():
+    # box(∅) = {y, z} here: a family without it fails the box before
+    # the missing diamond relation is looked at
+    bare = Model.make(["x", "y", "z"], [("y", "z")], boxes=[{("x", "y")}])
+    frag = Fragment("int", 1, 1)
+    assert not is_general_model(bare, SetAlgebra([set(), bare.state_set]),
+                                frag)
+    with pytest.raises(FlavorError):
+        is_general_model(bare, SetAlgebra([set(), {"y", "z"},
+                                           bare.state_set]), frag)
 
 
 def test_descriptive_box_check():

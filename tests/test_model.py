@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 import kripkit as kk
 from kripkit import Model, Partition, build_example, dualize, strictify
 from kripkit.errors import FlavorError, ModelFormatError
-from kripkit.model import (enrich_valuation, load_model, model_from_dict,
+from kripkit.model import (MAX_EXAMPLE_SIZE, _example_size,
+                           enrich_valuation, load_model, model_from_dict,
                            model_to_dict, model_to_json, quotient)
 
 
@@ -139,6 +140,25 @@ def test_porcupine_examples():
         report = example.validate()
         assert report.ok and report.strictly_condensed
         assert ("b1k0", "x") in example.leq
+
+
+def test_example_sizes_are_counted_before_building():
+    for name in ("spines", "porcupine", "porcupine_trimmed", "omega_chain"):
+        for k in (1, 2, 3, 7, 20):
+            m = build_example(name, (k,))
+            assert _example_size(name, k) == (len(m.states), len(m.leq))
+
+
+def test_examples_stop_at_the_size_ceiling():
+    # the largest of each family builds; one step further is refused
+    for name, largest in (("spines", 140), ("porcupine", 36),
+                          ("porcupine_trimmed", 37), ("omega_chain", 138)):
+        m = build_example(name, (largest,))
+        assert max(len(m.states), len(m.leq)) <= MAX_EXAMPLE_SIZE
+        with pytest.raises(ModelFormatError, match="examples stop at"):
+            build_example(name, (largest + 1,))
+    with pytest.raises(ModelFormatError, match="spines"):
+        build_example("spines", (10**8,))
 
 
 def test_omega_chain_example():

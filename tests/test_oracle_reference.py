@@ -217,19 +217,19 @@ def test_oracle_matches_reference_on_the_gallery(pair):
 
 def test_oracle_matches_reference_when_its_tables_overflow(monkeypatch):
     # a tiny cap makes the connective tables empty themselves often
-    monkeypatch.setattr(distinguish._Table, "CAP", 3)
+    monkeypatch.setattr(semantics._Table, "CAP", 3)
     for name, params, name2, params2, frag in GALLERY:
         m, m2 = build_example(name, params), build_example(name2, params2)
         assert_same_as_reference(m, m2, frag)
     seen = []
-    real_missing = distinguish._Table.__missing__
+    real_missing = semantics._Table.__missing__
 
     def watched(table, key):
         value = real_missing(table, key)
         seen.append(len(table))
         return value
 
-    monkeypatch.setattr(distinguish._Table, "__missing__", watched)
+    monkeypatch.setattr(semantics._Table, "__missing__", watched)
     m, m2 = build_example("porcupine", (2,)), build_example(
         "porcupine_trimmed", (2,))
     distinguish.bounded_equivalence_oracle(m, m2, Fragment("biint", 0, 0))

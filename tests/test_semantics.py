@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kripkit as kk
 import kripkit.relations as rel
-from kripkit import Model, build_example, parse
+from kripkit import Model, build_example, parse, semantics
 from kripkit.errors import FlavorError, PreconditionError
 from kripkit.sampling import random_formula, random_model
 from kripkit.semantics import (back_box_relation, back_dia_relation,
@@ -349,3 +349,25 @@ def test_effective_relations_are_built_once_per_model(monkeypatch):
         truth_set(chain, m)
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+def test_stored_entries_and_their_masks():
+    # each clause shape's stored relation, as successor maps and masks;
+    # a shape's converse entry holds the transposed masks
+    converse = {"imp": "sub", "box": "tdia", "dia": "tbox"}
+    for seed in range(6):
+        m = random_model(random.Random(seed), "standard", n_states=5,
+                         n_boxes=2, n_diamonds=1)
+        relations = {("imp", None): m.leq, ("box", 1): m.boxes[0],
+                     ("box", 2): m.boxes[1], ("dia", 1): m.diamonds[0]}
+        for (shape, index), relation in relations.items():
+            succ = semantics._successors(m, shape, index)
+            assert {(x, y) for x in m.states for y in succ[x]} == relation
+            masks = semantics._succ_masks(m, shape, index)
+            back = semantics._succ_masks(m, converse[shape], index)
+            for i, x in enumerate(m.states):
+                assert masks[i] == semantics._mask(m, succ[x])
+                assert all((masks[i] >> j & 1) == (back[j] >> i & 1)
+                           for j in range(len(m.states)))
+        assert semantics._successors(m, "box", 1) is \
+            semantics._successors(m, "box", 1)
