@@ -22,7 +22,8 @@ from . import distinguish, genframe, sampling, semantics
 from .errors import FlavorError, ToolError
 from .formula import Fragment, parse, translate
 from .model import (EK, FLAVORS, STANDARD, Model, build_example, dualize,
-                    load_model, model_to_dict, quotient, strictify)
+                    load_model, model_to_dict, quotient, read_json,
+                    strictify)
 
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
 
@@ -98,6 +99,9 @@ def _removal_dict(r: bisim_mod.Removal) -> dict:
 
 
 _SAMPLE_SIZE = 50
+# A sampled formula's size grows exponentially with its depth: the
+# draw pools hold more binary connectives than leaves.
+_MAX_SAMPLE_DEPTH = 20
 
 
 def _soundness_sample(left: Model, right: Model, frag: Fragment, pairs,
@@ -120,17 +124,16 @@ def _soundness_sample(left: Model, right: Model, frag: Fragment, pairs,
 
 def _load_algebra(source: str, m: Model) -> genframe.SetAlgebra:
     if source.lstrip().startswith("["):
-        data = json.loads(source)
+        data = read_json("--algebra", source)
     else:
-        with open(source, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(source)
     return genframe.algebra_from_lists(data, m)
 
 
 def _generators(source: str, m: Model) -> list[frozenset]:
     if source == "valuation":
         return [xs for _, xs in sorted(m.valuation.items())]
-    data = json.loads(source)
+    data = read_json("--generators", source)
     if not (isinstance(data, list)
             and all(isinstance(entry, list)
                     and all(isinstance(x, str) for x in entry)
@@ -246,6 +249,9 @@ def run(args) -> int:
                     raise ToolError("--seed and --depth go together")
                 if args.depth < 0:
                     raise ToolError(f"--depth must be >= 0, got {args.depth}")
+                if args.depth > _MAX_SAMPLE_DEPTH:
+                    raise ToolError(f"--depth must be <= {_MAX_SAMPLE_DEPTH}, "
+                                    f"got {args.depth}")
                 out["sample"] = _soundness_sample(left, right, frag, pairs,
                                                   args.seed, args.depth)
             _emit(out, args.output)

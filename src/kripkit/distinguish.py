@@ -54,6 +54,10 @@ from .model import Model, require_valid
 
 _EMPTY = frozenset()
 
+# The operator each modal clause shape puts around its witness core;
+# the arrow shapes "imp" and "sub" use the core as it is.
+_MODAL_SHAPE = {"box": Box, "tbox": TBox, "dia": Dia, "tdia": TDia}
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -162,22 +166,12 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
             psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), Bot())
             if shape in ("imp", "box", "tbox"):
                 core = psi if isinstance(phi, Top) else Imp(phi, psi)
-                if shape == "box":
-                    formula = Box(index, core)
-                elif shape == "tbox":
-                    formula = TBox(index, core)
-                else:
-                    formula = core
                 orientation = "right" if owner == "left" else "left"
             else:
                 core = phi if isinstance(psi, Bot) else Sub(phi, psi)
-                if shape == "dia":
-                    formula = Dia(index, core)
-                elif shape == "tdia":
-                    formula = TDia(index, core)
-                else:
-                    formula = core
                 orientation = owner
+            formula = (_MODAL_SHAPE[shape](index, core)
+                       if shape in _MODAL_SHAPE else core)
 
         holds_left = x in semantics.truth_set(formula, m)
         holds_right = x2 in semantics.truth_set(formula, m2)

@@ -621,10 +621,29 @@ def model_to_dict(m: Model) -> dict:
     }
 
 
+def read_json(source: str, text: str | None = None):
+    """The JSON value in text, or, with no text, in the file at path
+    source.  Malformed JSON raises json.JSONDecodeError and a missing
+    or unreadable file OSError.  Bytes that are not UTF-8, nesting too
+    deep for the decoder, a number too long to convert and a NUL in
+    the path raise ModelFormatError, naming the inline source as given
+    and a file by its quoted path."""
+    try:
+        if text is not None:
+            return json.loads(text)
+        with open(source, encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        name = source if text is not None else repr(source)
+        raise ModelFormatError(f"{name}: not readable as JSON ({exc})") \
+            from None
+
+
 def load_model(path: str) -> Model:
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
     return model_from_dict(data)

@@ -18,9 +18,10 @@ import random
 from typing import Sequence
 
 from . import relations as rel
+from . import semantics
 from .errors import FlavorError
-from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
-                      Or, Sub, TBox, TDia, Top)
+from .formula import (And, Atom, Bot, Ck, Formula, Fragment, Imp, Or, Sub,
+                      TBox, TDia, Top)
 from .model import EK, FS, GPT, H, STANDARD, TENSE, Model
 
 
@@ -123,50 +124,25 @@ def random_formula(rng: random.Random, frag: Fragment, depth: int,
                    atoms: Sequence[str] = ("p", "q", "r"),
                    allow_ck: bool = False) -> Formula:
     """A formula the fragment admits, of nesting depth at most
-    `depth`."""
-    leaves: list = [("atom",), ("atom",), ("top",), ("bot",)]
-    pool = list(leaves)
-    if depth > 0:
-        pool += [("and",), ("or",)] * 2
-        if frag.base in ("int", "biint"):
-            pool += [("imp",)] * 2
-        if frag.base in ("intdual", "biint"):
-            pool += [("sub",)] * 2
-        for i in range(1, frag.n_boxes + 1):
-            pool += [("box", i)] * 2
-        for j in range(1, frag.m_diamonds + 1):
-            pool += [("dia", j)] * 2
-        if frag.tense:
-            pool += [("tdia", i) for i in range(1, frag.n_boxes + 1)]
-            pool += [("tbox", j) for j in range(1, frag.m_diamonds + 1)]
-        if allow_ck:
-            pool += [("ck",)]
-    tag = rng.choice(pool)
-    kind = tag[0]
-    if kind == "atom":
-        return Atom(rng.choice(list(atoms)))
-    if kind == "top":
-        return Top()
-    if kind == "bot":
-        return Bot()
+    `depth`.  Each node is drawn from a pool of (class, leading
+    arguments, subformula count): the leaves, then & and |, then the
+    fragment's connectives as the oracle lists them, each twice but for
+    the backward ones, then C if allowed."""
+    leaves = [(Atom, (), 0), (Atom, (), 0), (Top, (), 0), (Bot, (), 0)]
+    pool = leaves + [(And, (), 2), (Or, (), 2)] * 2
+    for key, index in semantics._connectives(frag):
+        if index is None:
+            entry = ({"imp": Imp, "sub": Sub}[key], (), 2)
+        else:
+            entry = (key, (index,), 1)
+        pool += [entry] if key in (TDia, TBox) else [entry] * 2
+    if allow_ck:
+        pool.append((Ck, (), 1))
 
-    def sub_formula():
-        return random_formula(rng, frag, depth - 1, atoms, allow_ck)
+    def draw(depth: int) -> Formula:
+        cls, head, children = rng.choice(pool if depth > 0 else leaves)
+        if cls is Atom:
+            head = (rng.choice(list(atoms)),)
+        return cls(*head, *map(draw, [depth - 1] * children))
 
-    if kind == "and":
-        return And(sub_formula(), sub_formula())
-    if kind == "or":
-        return Or(sub_formula(), sub_formula())
-    if kind == "imp":
-        return Imp(sub_formula(), sub_formula())
-    if kind == "sub":
-        return Sub(sub_formula(), sub_formula())
-    if kind == "box":
-        return Box(tag[1], sub_formula())
-    if kind == "dia":
-        return Dia(tag[1], sub_formula())
-    if kind == "tdia":
-        return TDia(tag[1], sub_formula())
-    if kind == "tbox":
-        return TBox(tag[1], sub_formula())
-    return Ck(sub_formula())
+    return draw(depth)

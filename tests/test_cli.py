@@ -4,6 +4,8 @@ Each verb is driven through main() with an argv list; one smoke test
 exercises the installed console script end to end.
 """
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,6 +13,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import kripkit
 from kripkit.cli import main
@@ -196,6 +199,50 @@ def test_bisim_rejects_a_negative_depth(capsys, wedge_path, strict_path):
         "--depth")
 
 
+def test_bisim_rejects_a_depth_above_the_ceiling(capsys, wedge_path,
+                                                 strict_path):
+    # sampled formulas grow exponentially with depth; 3000 used to end
+    # in a RecursionError and 300 to run for minutes
+    for depth in ("21", "3000"):
+        assert_one_line_error(
+            capsys, ["bisim", "--left", wedge_path, "--right", strict_path,
+                     "--fragment", "int", "--boxes", "1", "--seed", "1",
+                     "--depth", depth],
+            f"--depth must be <= 20, got {depth}")
+    data = run_json(capsys, ["bisim", "--left", wedge_path, "--right",
+                             strict_path, "--fragment", "int", "--seed", "1",
+                             "--depth", "20"])
+    assert data["sample"]["formulas"] == 50
+
+
+def test_undecodable_and_over_nested_json_are_one_line_errors(
+        capsys, tmp_path, wedge_path):
+    # each of these used to end in UnicodeDecodeError or RecursionError
+    garbled = tmp_path / "garbled.json"
+    garbled.write_bytes(b"\xff\xfe")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for path, needle in ((garbled, "can't decode byte 0xff"),
+                         (deep, "maximum recursion depth")):
+        assert_one_line_error(capsys, ["validate", "--model", str(path)],
+                              needle)
+        assert_one_line_error(
+            capsys, ["descriptive-check", "--model", wedge_path,
+                     "--algebra", str(path)], needle)
+    assert_one_line_error(
+        capsys, ["descriptive-check", "--model", wedge_path,
+                 "--algebra", "[" * 100000], "--algebra: not readable")
+    assert_one_line_error(
+        capsys, ["closure", "--model", wedge_path,
+                 "--generators", "[" * 100000], "--generators: not readable")
+    assert_one_line_error(
+        capsys, ["closure", "--model", wedge_path,
+                 "--generators", "1" * 5000], "--generators: not readable")
+    assert_one_line_error(
+        capsys, ["descriptive-check", "--model", wedge_path,
+                 "--algebra", "a\n\x00"], "null byte")
+
+
 def test_quotient_verb(capsys, tmp_path):
     _, spine2 = spine_paths(tmp_path)
     data = run_json(capsys, ["quotient", "--model", spine2,
@@ -341,3 +388,66 @@ def test_console_script_smoke():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["states"] == ["x", "y", "z"]
+
+
+# ---------------------------------------------------------------------------
+# Arbitrary input never ends in a traceback
+
+# The model file's keys, so that some drawn objects get past the first
+# schema checks.
+MODEL_KEYS = ("states", "leq_gen", "boxes", "diamonds", "valuation",
+              "flavor")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(MODEL_KEYS) | st.text(max_size=6),
+                      kids, max_size=4),
+    max_leaves=12)
+
+
+def outcome(argv) -> tuple[int, str]:
+    """main's exit code, with argparse's usage exit as 2, and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def check_clean_exit(argv) -> None:
+    code, err = outcome(argv)
+    assert code in (0, 1, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "wedge.json").write_text(model_to_json(build_example("wedge")))
+    return path
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=64) | JSON_VALUES.map(
+    lambda v: json.dumps(v).encode()))
+def test_any_model_file_is_a_clean_exit(fuzz_dir, content):
+    path = fuzz_dir / "model.json"
+    path.write_bytes(content)
+    check_clean_exit(["validate", "--model", str(path)])
+    check_clean_exit(["eval", "--model", str(path), "--formula", "p"])
+
+
+@settings(deadline=None)
+@given(st.text(max_size=30))
+def test_any_option_text_is_a_clean_exit(fuzz_dir, text):
+    wedge = str(fuzz_dir / "wedge.json")
+    check_clean_exit(["eval", "--model", wedge, f"--formula={text}"])
+    check_clean_exit(["closure", "--model", wedge, f"--generators={text}"])
+    check_clean_exit(["descriptive-check", "--model", wedge,
+                      f"--algebra={text}"])

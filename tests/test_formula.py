@@ -207,6 +207,24 @@ def test_admits_rejects_out_of_fragment():
     assert Fragment("int", 1, 0).admits(parse("C (p -> q)"))
     assert not Fragment("biint", 1, 0).admits(parse("C p"))
     assert not Fragment("int", 1, 1).admits(parse("C p"))
+    # C reads the box relations, so a fragment without a box lacks it
+    assert not Fragment("int").admits(parse("C p"))
+
+
+SMALL_FRAGMENTS = [Fragment(base, n, m, tense)
+                   for base in ("int", "intdual", "biint")
+                   for n in range(3) for m in range(3)
+                   for tense in (False, True) if base == "biint" or not tense]
+
+
+@given(FORMULAS)
+def test_admitting_fragments_contain_the_least_one(f):
+    for frag in SMALL_FRAGMENTS:
+        if frag.admits(f):
+            least = fragment_of(f)
+            assert frag.n_boxes >= least.n_boxes
+            assert frag.m_diamonds >= least.m_diamonds
+            assert frag.tense >= least.tense
 
 
 def test_fragment_validation():
