@@ -28,13 +28,15 @@ transitivity alone.  Every witness is re-evaluated in both models
 before it is returned, so a recipe bug shows up as an internal error,
 never as silently wrong output.
 
-bounded_equivalence_oracle goes the other way around: it saturates the
-fragment's formula algebra over both models at once (cheapest formula
-first only when a budget caps it) and declares two states equivalent
-when no generated formula splits them.  It saturates bit masks from
-semantics, by close_algebra's closure when no budget is given, and
-shares no code with the refinement.  hennessy_milner_check ties the
-two together.
+bounded_equivalence_oracle goes the other way around: it works with
+the sets the fragment's formulas define over both models at once and
+declares two states equivalent when no definable set splits them.
+Those sets are the upsets of one preorder on the states (Birkhoff), so
+without a budget the oracle refines that preorder by the connectives
+applied to irreducible sets, in polynomial time; a budget instead
+lists definable sets, cheapest formula first.  It works on bit masks
+from semantics and shares no code with the refinement.
+hennessy_milner_check ties the two together.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
+from operator import or_
 from typing import Iterable
 
 from . import semantics
@@ -263,48 +266,115 @@ def _budgeted_closure(generators: list[int], unary: list, arrows: list,
     return list(closed), True
 
 
+def _refine(classes: dict[int, int], sets) -> bool:
+    """Cut a preorder by each mask in sets, so that a state in a set
+    stays below only the states in it.  classes maps the up mask of
+    each class of mutually below states (the states above them) to its
+    members.  Returns whether any class changed."""
+    changed = False
+    for s in sets:
+        for up, members in list(classes.items()):
+            inside = members & s
+            if inside and up & ~s:
+                changed = True
+                del classes[up]
+                classes[up & s] = inside
+                if inside != members:
+                    classes[up] = members & ~s
+    return changed
+
+
+def _definable_preorder(n: int, generators: list[int], modal: list,
+                        arrows: list) -> dict[int, int]:
+    """The least family of n-bit masks that holds the generators, 0 and
+    the carrier and is closed under & and | and the given _Kernel
+    connectives, as the preorder it is the upsets of (Birkhoff), in
+    _refine's classes: a class's up mask is the least member holding
+    it.  modal pairs each unary connective with whether it preserves &
+    (boxes) rather than | (diamonds).
+
+    Every connective distributes, so it is enough to apply it to the
+    irreducible members.  Boxes go to the meet-irreducibles, the
+    carrier minus the down mask of a class (the states below it);
+    diamonds go to the join-irreducibles, the up masks; an arrow
+    depends on a & ~b only, which over a join- and a meet-irreducible
+    is an up mask and a down mask.  Each round applies every
+    connective to the current irreducibles and cuts the preorder by
+    the results; a round that cuts nothing ends the loop."""
+    full = (1 << n) - 1
+    classes = {full: full}
+    _refine(classes, generators)
+    while True:
+        downs = []
+        for members in classes.values():
+            low = members & -members
+            downs.append(reduce(or_, [below for up, below in classes.items()
+                                      if up & low]))
+        fresh = set()
+        for op, preserves_meets in modal:
+            if preserves_meets:
+                fresh.update([op(full & ~down) for down in downs])
+            else:
+                fresh.update(map(op, classes))
+        if arrows:
+            spans = {up & down for up in classes for down in downs}
+            spans.discard(0)
+            for arrow in arrows:
+                fresh.update(map(arrow, spans))
+        if not _refine(classes, fresh):
+            return classes
+
+
 def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
                                budget: int | None = None):
     """Which state pairs agree on every fragment formula, decided by
     saturating formula semantics over both models at once.
 
     Formulas are explored as signature pairs (truth set here, truth
-    set there), so two formulas with the same signatures are never
-    both expanded.  Without a budget the result is the least set of
-    signatures that holds the atoms, T and F and is closed under the
-    fragment's connectives; the order of work does not matter, and
-    the answer is exact.  A budget, which must be >= 0, caps how many
-    derived signatures are admitted, cheapest connective count first;
-    that order only decides which signatures a budgeted run admits.
-    Exhausting the worklist first means the answer is exact; hitting
-    the budget means the returned relation may still be too coarse.
-    Budget 0 gives plain atom agreement.
+    set there), one bit mask over both models.  Without a budget the
+    answer is exact: the definable masks are the upsets of one
+    preorder on the states of both models, which _definable_preorder
+    refines from the atoms, T and F by the fragment's connectives
+    applied to irreducible members only, in polynomial time; two
+    states are equivalent when each is below the other.  A budget,
+    which must be >= 0, instead lists derived signatures, cheapest
+    connective count first, and admits at most that many; that order
+    only decides which signatures a budgeted run admits.  Exhausting
+    the worklist first means the answer is exact; hitting the budget
+    means the returned relation may still be too coarse.  Budget 0
+    gives plain atom agreement.
 
     Returns (relation, exact).
     """
     _check_budget(budget)
     kernel = semantics._Kernel([m, m2])
-    ops = semantics._connectives(frag)
-    unary = [kernel.connective(*op) for op in ops if op[1] is not None]
-    arrows = [kernel.connective(*op) for op in ops if op[1] is None]
+    modal, arrows = [], []
+    for key, index in semantics._connectives(frag):
+        op = kernel.connective(key, index)
+        if index is None:
+            arrows.append(op)
+        else:
+            modal.append((op, semantics._reads_all(key)))
     atoms = sorted(set(m.valuation) | set(m2.valuation))
-    generators = [0, (1 << len(m.states) + len(m2.states)) - 1] + [
+    n = len(m.states) + len(m2.states)
+    full = (1 << n) - 1
+    generators = [0, full] + [
         semantics._mask(m, m.valuation.get(a, _EMPTY))
         | semantics._mask(m2, m2.valuation.get(a, _EMPTY)) << kernel.offsets[1]
         for a in atoms]
     if budget is None:
-        closed, exact = semantics._closure(generators, unary, arrows), True
+        classes = _definable_preorder(n, generators, modal, arrows)
+        exact = True
     else:
-        closed, exact = _budgeted_closure(generators, unary, arrows, budget)
+        closed, exact = _budgeted_closure(
+            generators, [op for op, _ in modal], arrows, budget)
+        classes = {full: full}
+        _refine(classes, closed)
 
-    def profile(bit: int) -> tuple[int, ...]:
-        return tuple(sig >> bit & 1 for sig in closed)
-
-    by_profile: dict[tuple[int, ...], list[str]] = {}
-    for j, y in enumerate(m2.states, kernel.offsets[1]):
-        by_profile.setdefault(profile(j), []).append(y)
-    pairs = {(x, y) for i, x in enumerate(m.states)
-             for y in by_profile.get(profile(i), ())}
+    shift = kernel.offsets[1]
+    pairs = {(m.states[i], m2.states[j]) for members in classes.values()
+             for i in semantics._bits(members & (1 << shift) - 1)
+             for j in semantics._bits(members >> shift)}
     return frozenset(pairs), exact
 
 

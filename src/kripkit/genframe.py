@@ -3,7 +3,7 @@
 A set algebra is a family of state sets containing the empty set and
 the whole carrier.  close_algebra grows a family of generators until
 it is closed under intersection, union, and a chosen list of set
-operators, by the oracle's closure over the model's bit masks;
+operators, by semantics' closure over the model's bit masks;
 is_general_model asks whether a family supports a whole fragment;
 descriptive_box_check asks whether the box relation can be read back
 off the algebra, the finite shadow of descriptiveness:

@@ -30,14 +30,16 @@ choice is made here only, and a bisim clause shape keys the stored
 relation that clause reads.  The table numbers the states and holds
 each entry as bit masks too, which the refinement reads; _Kernel lays
 several models' masks side by side for the oracle and close_algebra,
-and _closure saturates families of them.  Truth sets are cached on the
-model as well, so repeated evaluation stays cheap.
+and _closure saturates a family of them for close_algebra.  Truth
+sets are cached on the model as well, so repeated evaluation stays
+cheap.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from itertools import accumulate
+from typing import Iterator
 
 from . import relations as rel
 from .errors import FlavorError, PreconditionError
@@ -216,6 +218,13 @@ def _bits_meeting(masks: list[int], d: int) -> int:
     return out
 
 
+def _reads_all(key) -> bool:
+    """Whether modal operator key (a key of _MODAL) reads all
+    successors, like a box, and so preserves intersections; the others
+    read some successor and preserve unions."""
+    return _MODAL[key][1] is _forall
+
+
 class _Kernel:
     """Bit masks over models laid side by side: bit offsets[k] + i is
     the i-th state of models[k], so one integer holds a state set of
@@ -239,25 +248,27 @@ class _Kernel:
             return partial(_bits_disjoint, succ)
         if key == "sub":
             return partial(_bits_meeting, succ)
-        if _MODAL[key][1] is _forall:
+        if _reads_all(key):
             return lambda a: _bits_disjoint(succ, ~a)
         return partial(_bits_meeting, succ)
 
 
-def _connectives(frag: Fragment) -> list[tuple]:
+def _connectives(frag: Fragment) -> Iterator[tuple]:
     """The fragment's connectives besides & and |, as table entries:
     its arrows, then its boxes, diamonds, backward diamonds and
-    backward boxes."""
-    ops: list[tuple] = []
+    backward boxes.  Yielded one at a time, so a caller that resolves
+    each entry meets the first one a model lacks before the rest of a
+    huge count is ever built."""
     if frag.base in ("int", "biint"):
-        ops.append(("imp", None))
+        yield "imp", None
     if frag.base in ("intdual", "biint"):
-        ops.append(("sub", None))
+        yield "sub", None
     modal = [(Box, frag.n_boxes), (Dia, frag.m_diamonds)]
     if frag.tense:
         modal += [(TDia, frag.n_boxes), (TBox, frag.m_diamonds)]
-    ops += [(op, i) for op, count in modal for i in range(1, count + 1)]
-    return ops
+    for op, count in modal:
+        for i in range(1, count + 1):
+            yield op, i
 
 
 class _Table(dict):
@@ -286,7 +297,10 @@ def _closure(generators: list[int], unary: list, arrows: list) -> list[int]:
     """The least set of masks holding the generators and closed under &
     and | and the given _Kernel connectives.  Each admitted mask meets
     every one admitted no later than itself, both ways round for the
-    arrows, so every pair is combined exactly once."""
+    arrows, so every pair is combined exactly once.  The set can be
+    exponentially large; close_algebra needs all of it, while the
+    exact oracle only needs the preorder it induces and computes that
+    directly."""
     members = list(dict.fromkeys(generators))
     complements = [~x for x in members]
     seen = set(members)

@@ -337,6 +337,19 @@ def test_counts_above_the_stored_relations_are_rejected_first(
         "clause needs box relation 2 but the model stores 1")
 
 
+def test_oracle_rejects_a_huge_count_at_the_first_missing_relation(
+        capsys, wedge_path):
+    # the oracle resolves its connectives one at a time, so a count of
+    # a billion fails at relation 2 as a count of 3 does
+    for count in ("3", "1000000000"):
+        assert main(["oracle", "--left", wedge_path, "--right", wedge_path,
+                     "--fragment", "int", "--boxes", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: model has no box relation 2 "
+                                "(flavor 'standard' stores 1)\n")
+
+
 def test_closure_rejects_generators_that_are_not_state_lists(capsys,
                                                              wedge_path):
     assert_one_line_error(

@@ -1,6 +1,7 @@
 """Witness synthesis, verification, and the equivalence oracle."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from kripkit.bisim import conditions_for, greatest_bisimulation
 from kripkit.distinguish import (bounded_equivalence_oracle,
                                  hennessy_milner_check, synthesize,
                                  verify_witnesses)
-from kripkit.errors import PreconditionError
+from kripkit.errors import FlavorError, PreconditionError
 from kripkit.sampling import random_model
 from kripkit.semantics import truth_set
 
@@ -113,6 +114,18 @@ def test_oracle_budget_semantics():
     rel3, exact3 = bounded_equivalence_oracle(WEDGE, WEDGE_STRICT, frag,
                                               budget=3)
     assert exact3 and rel3 == rel0
+
+
+def test_oracle_rejects_a_huge_count_before_building_anything():
+    frag = Fragment("int", 10**9, 0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FlavorError, match="no box relation 2"):
+            bounded_equivalence_oracle(WEDGE, WEDGE, frag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_negative_budgets_are_rejected():

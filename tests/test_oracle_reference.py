@@ -1,10 +1,17 @@
-"""Differential test of the equivalence oracle against a reference.
+"""Differential test of the equivalence oracle against two references.
 
 _SideOps and bounded_equivalence_oracle below are a direct reference
 oracle: one bitmask per model, every connective recomputed at each
 call, and the cost-ordered heap whether or not a budget is given.
 kripkit's oracle must return the same relation and the same exact
 flag on every input and budget.
+
+closure_oracle is the exact oracle the preorder refinement replaced:
+it lists every definable mask with semantics._closure.  It is faster
+than the heap, so it checks the exact oracle on more and larger pairs.
+Pairs too large for either reference are checked against the
+bisimulation fixpoint, which the exact oracle equals wherever the
+Hennessy-Milner property holds.
 """
 
 import heapq
@@ -16,6 +23,8 @@ from kripkit import Fragment, build_example
 from kripkit import distinguish
 from kripkit import relations as rel
 from kripkit import semantics
+from kripkit.bisim import conditions_for, greatest_bisimulation
+from kripkit.genframe import close_algebra
 from kripkit.model import Model
 from kripkit.sampling import random_model
 
@@ -168,6 +177,31 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
     return frozenset(pairs), exact
 
 
+def closure_oracle(m: Model, m2: Model, frag: Fragment):
+    """The exact oracle as it was before the preorder refinement, with
+    its budget branch left out and the connectives listed up front."""
+    kernel = semantics._Kernel([m, m2])
+    ops = list(semantics._connectives(frag))
+    unary = [kernel.connective(*op) for op in ops if op[1] is not None]
+    arrows = [kernel.connective(*op) for op in ops if op[1] is None]
+    atoms = sorted(set(m.valuation) | set(m2.valuation))
+    generators = [0, (1 << len(m.states) + len(m2.states)) - 1] + [
+        semantics._mask(m, m.valuation.get(a, _EMPTY))
+        | semantics._mask(m2, m2.valuation.get(a, _EMPTY)) << kernel.offsets[1]
+        for a in atoms]
+    closed, exact = semantics._closure(generators, unary, arrows), True
+
+    def profile(bit: int) -> tuple[int, ...]:
+        return tuple(sig >> bit & 1 for sig in closed)
+
+    by_profile: dict[tuple[int, ...], list[str]] = {}
+    for j, y in enumerate(m2.states, kernel.offsets[1]):
+        by_profile.setdefault(profile(j), []).append(y)
+    pairs = {(x, y) for i, x in enumerate(m.states)
+             for y in by_profile.get(profile(i), ())}
+    return frozenset(pairs), exact
+
+
 BUDGETS = (None, 0, 5, 20)
 
 ROWS = [
@@ -230,7 +264,97 @@ def test_oracle_matches_reference_when_its_tables_overflow(monkeypatch):
         return value
 
     monkeypatch.setattr(semantics._Table, "__missing__", watched)
+    # the exact oracle keeps no table; a budgeted run and close_algebra do
     m, m2 = build_example("porcupine", (2,)), build_example(
         "porcupine_trimmed", (2,))
-    distinguish.bounded_equivalence_oracle(m, m2, Fragment("biint", 0, 0))
+    distinguish.bounded_equivalence_oracle(m, m2, Fragment("biint", 0, 0), 20)
     assert seen and max(seen) <= 3
+    seen.clear()
+    close_algebra(m, [m.valuation[a] for a in sorted(m.valuation)],
+                  ["arrow", "coarrow"])
+    assert seen and max(seen) <= 3
+
+
+def assert_same_as_closure(m, m2, frag):
+    want = closure_oracle(m, m2, frag)
+    assert distinguish.bounded_equivalence_oracle(m, m2, frag) == want
+
+
+@pytest.mark.parametrize("row", ROWS, ids=[row[0] for row in ROWS])
+def test_exact_oracle_matches_closure_on_the_c04_corpus(row):
+    # the pairs test_acceptance's criterion 04 checks
+    _, flavor, frag, kw = row
+    for i in range(100):
+        rng = random.Random(40_000 + i)
+        n = 4 + (i % 2)
+        m = random_model(rng, flavor, n_states=n, strict=True, **kw)
+        m2 = random_model(rng, flavor, n_states=n, strict=True, **kw)
+        assert_same_as_closure(m, m2, frag)
+
+
+LARGER_GALLERY = (
+    [("wedge", (), "wedge_strict", (), Fragment(base, 1, 0))
+     for base in ("int", "intdual", "biint")]
+    + [("spines", (k,), "spines", (k + 1,), Fragment("int", 1, 0))
+       for k in range(1, 8)]
+    + [("porcupine", (n,), "porcupine_trimmed", (n,), Fragment(base, 0, 0))
+       for n in (1, 2) for base in ("int", "intdual", "biint")])
+
+
+@pytest.mark.parametrize("pair", LARGER_GALLERY,
+                         ids=[f"{p[0]}{''.join(map(str, p[1]))}-{p[4].base}"
+                              for p in LARGER_GALLERY])
+def test_exact_oracle_matches_closure_on_the_gallery(pair):
+    name, params, name2, params2, frag = pair
+    m, m2 = build_example(name, params), build_example(name2, params2)
+    assert_same_as_closure(m, m2, frag)
+    assert_same_as_closure(m2, m, frag)
+
+
+NON_STRICT = [
+    ("standard", dict(n_boxes=2, n_diamonds=1), 2, 1, False),
+    ("fs", dict(), 1, 1, False),
+    ("gpt", dict(), 1, 1, True),
+    ("tense", dict(), 1, 1, True),
+    ("h", dict(), 1, 1, True),
+    ("ek", dict(n_boxes=2), 2, 0, False),
+]
+
+
+@pytest.mark.parametrize("row", NON_STRICT, ids=[row[0] for row in NON_STRICT])
+def test_exact_oracle_matches_closure_on_non_strict_pairs(row):
+    flavor, kw, boxes, diamonds, tense = row
+    bases = ("int", "intdual", "biint")
+    for i in range(36):
+        rng = random.Random(70_000 + i)
+        # backward operators need biint, so only biint rows use them
+        frag = Fragment(bases[i % 3], boxes, diamonds, tense and i % 3 == 2)
+        atoms = ("p", "q")[:1 + i % 2]
+        m = random_model(rng, flavor, n_states=2 + i % 4, atoms=atoms, **kw)
+        m2 = random_model(rng, flavor, n_states=2 + (i // 4) % 4,
+                          atoms=atoms, **kw)
+        assert_same_as_closure(m, m2, frag)
+        # two random models seldom share a class; a model and itself do
+        assert_same_as_closure(m, m, frag)
+
+
+# Strictly condensed pairs too large for either reference: there the
+# exact oracle must be the bisimulation fixpoint, the Hennessy-Milner
+# property, whichever model comes first.
+LARGE = [
+    ("porcupine", (3,), "porcupine_trimmed", (3,), Fragment("biint", 0, 0)),
+    ("porcupine", (4,), "porcupine_trimmed", (4,), Fragment("biint", 0, 0)),
+    ("spines", (9,), "spines", (10,), Fragment("int", 1, 0)),
+    ("spines", (12,), "spines", (13,), Fragment("int", 1, 0)),
+]
+
+
+@pytest.mark.parametrize("pair", LARGE, ids=[f"{p[0]}{p[1][0]}" for p in LARGE])
+def test_exact_oracle_is_the_fixpoint_on_large_gallery_pairs(pair):
+    name, params, name2, params2, frag = pair
+    m, m2 = build_example(name, params), build_example(name2, params2)
+    for left, right in ((m, m2), (m2, m)):
+        fixpoint, _ = greatest_bisimulation(
+            left, right, conditions_for(frag, left.flavor))
+        got = distinguish.bounded_equivalence_oracle(left, right, frag)
+        assert got == (fixpoint, True)
