@@ -446,7 +446,7 @@ def greatest_bisimulation(m: Model, m2: Model,
         candidates = [c & row for c, row in zip(candidates, rows)]
     pairs = frozenset((states[i], states2[j])
                       for i, row in enumerate(rows)
-                      for j in semantics._bits(row))
+                      for j in rel._bits(row))
     return pairs, RefinementTrace(tuple(removals), stage - 1)
 
 

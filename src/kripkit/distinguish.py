@@ -54,6 +54,7 @@ from .errors import InternalCheckError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Dia, Formula, Fragment, Imp, Or,
                       Sub, TBox, TDia, Top, connective_count)
 from .model import Model, require_valid
+from .relations import _bits
 
 _EMPTY = frozenset()
 
@@ -373,8 +374,8 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
 
     shift = kernel.offsets[1]
     pairs = {(m.states[i], m2.states[j]) for members in classes.values()
-             for i in semantics._bits(members & (1 << shift) - 1)
-             for j in semantics._bits(members >> shift)}
+             for i in _bits(members & (1 << shift) - 1)
+             for j in _bits(members >> shift)}
     return frozenset(pairs), exact
 
 

@@ -28,7 +28,7 @@ MAX_DEPTH parentheses, with a ParseError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import FragmentError, ParseError
@@ -42,25 +42,56 @@ def _check_index(index: int) -> None:
 
 class Formula:
     """Base class for formula nodes.  Instances are immutable and
-    compare structurally."""
+    compare structurally.
+
+    A node's hash is computed once, when it is built, from its class,
+    its scalar fields and its children's hashes, which are stored
+    already; so hashing costs O(1) at any depth.  Equality, printing
+    and evaluation still recurse over the tree.  Each node class
+    restates __hash__ in its own body, because a frozen dataclass
+    replaces an inherited one with a hash of its fields."""
 
     def __str__(self) -> str:
         return to_string(self)
+
+    def __hash__(self) -> int:
+        return self._h
+
+    def __reduce__(self):
+        # Rebuild through the constructor: str hashes are salted per
+        # process, so a stored hash must not travel in a pickle.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# Each node's __post_init__ stores its hash through this, since the
+# nodes are frozen; binding it here spares a lookup per node built.
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
 class Atom(Formula):
     name: str
 
+    def __post_init__(self):
+        _set(self, "_h", hash((Atom, self.name)))
+
+    __hash__ = Formula.__hash__
+
 
 @dataclass(frozen=True)
 class Top(Formula):
-    pass
+    def __post_init__(self):
+        _set(self, "_h", hash((Top,)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    def __post_init__(self):
+        _set(self, "_h", hash((Bot,)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -68,17 +99,32 @@ class And(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "_h", hash((And, self.left, self.right)))
+
+    __hash__ = Formula.__hash__
+
 
 @dataclass(frozen=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "_h", hash((Or, self.left, self.right)))
+
+    __hash__ = Formula.__hash__
+
 
 @dataclass(frozen=True)
 class Imp(Formula):
     left: Formula
     right: Formula
+
+    def __post_init__(self):
+        _set(self, "_h", hash((Imp, self.left, self.right)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -88,6 +134,11 @@ class Sub(Formula):
     left: Formula
     right: Formula
 
+    def __post_init__(self):
+        _set(self, "_h", hash((Sub, self.left, self.right)))
+
+    __hash__ = Formula.__hash__
+
 
 @dataclass(frozen=True)
 class Box(Formula):
@@ -96,6 +147,9 @@ class Box(Formula):
 
     def __post_init__(self):
         _check_index(self.index)
+        _set(self, "_h", hash((Box, self.index, self.body)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -105,6 +159,9 @@ class Dia(Formula):
 
     def __post_init__(self):
         _check_index(self.index)
+        _set(self, "_h", hash((Dia, self.index, self.body)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -116,6 +173,9 @@ class TDia(Formula):
 
     def __post_init__(self):
         _check_index(self.index)
+        _set(self, "_h", hash((TDia, self.index, self.body)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -127,6 +187,9 @@ class TBox(Formula):
 
     def __post_init__(self):
         _check_index(self.index)
+        _set(self, "_h", hash((TBox, self.index, self.body)))
+
+    __hash__ = Formula.__hash__
 
 
 @dataclass(frozen=True)
@@ -135,6 +198,11 @@ class Ck(Formula):
     of all box relations."""
 
     body: Formula
+
+    def __post_init__(self):
+        _set(self, "_h", hash((Ck, self.body)))
+
+    __hash__ = Formula.__hash__
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +284,9 @@ def _tokenize(text: str) -> list[_Token]:
 # recurses twice per parenthesis; printing, translating, evaluating
 # and comparing recurse per level, and on Python 3.11 comparing two
 # equal trees built apart spends three levels of the default recursion
-# limit of 1000 per node.  300 leaves room for a caller's stack some 60
-# frames deep, and 150 levels of "[]1 (...) & q" are 300 deep.
+# limit of 1000 per node.  Hashing does not recurse: a node's hash is
+# stored when it is built.  300 leaves room for a caller's stack some
+# 60 frames deep, and 150 levels of "[]1 (...) & q" are 300 deep.
 MAX_DEPTH = 300
 
 # Prefix operators: token kind -> node built around the operand.  A

@@ -87,13 +87,13 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
     arrows = [kernel.connective(*e) for e in entries if e[1] is None]
 
     def states(a: int) -> frozenset:
-        return frozenset(m.states[i] for i in semantics._bits(a))
+        return frozenset(m.states[i] for i in rel._bits(a))
 
     if entries:
         up = semantics._succ_masks(m, "imp")
 
         def upset(a: int) -> int:
-            if any(up[i] & ~a for i in semantics._bits(a)):
+            if any(up[i] & ~a for i in rel._bits(a)):
                 raise PreconditionError(
                     f"semantic operator arguments must be upsets; "
                     f"{sorted(states(a))} is not upward closed")

@@ -104,7 +104,7 @@ class Model:
         known = frozenset(self.states)
 
         def checked(pairs, what):
-            pairs = frozenset(tuple(p) for p in pairs)
+            pairs = frozenset(map(tuple, pairs))
             for a, b in pairs:
                 if a not in known or b not in known:
                     raise ModelFormatError(
@@ -567,8 +567,8 @@ def _pairs(value, what):
         raise ModelFormatError(f"{what} must be a list of pairs")
     out = []
     for item in value:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(s, str) for s in item)):
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
             raise ModelFormatError(f"{what} must contain [from, to] pairs")
         out.append((item[0], item[1]))
     return out

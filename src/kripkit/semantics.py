@@ -190,14 +190,6 @@ def _succ_masks(m: Model, key, index=None) -> list[int]:
     return masks
 
 
-def _bits(mask: int):
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def _bits_disjoint(masks: list[int], d: int) -> int:
     """Bit k set where masks[k] and d share no bit."""
     out, bit = 0, 1

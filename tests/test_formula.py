@@ -241,3 +241,57 @@ def test_index_must_be_positive():
         Box(0, p)
     with pytest.raises(ValueError):
         Dia(-1, p)
+
+
+def test_deep_chains_hash_without_recursion():
+    # hashing once recursed over the tree: 400 levels hashed and 3,000
+    # raised RecursionError
+    f = q
+    for _ in range(3000):
+        f = Box(1, f)
+    assert hash(f) == hash(f)
+    table = {f: "deep"}
+    assert table[f] == "deep"
+    assert f.body in {f.body}
+
+
+def test_equal_trees_built_apart_hash_equal():
+    text = "[]1 (p & q -> <|2 r) | C ~q -< -.T"
+    assert parse(text) is not parse(text)
+    assert hash(parse(text)) == hash(parse(text))
+    assert len({parse(text), parse(text)}) == 1
+    assert And(p, q) != Or(p, q)
+    assert Box(1, p) != Dia(1, p) and Box(1, p) != Box(2, p)
+    assert Top() != Bot() and hash(Top()) == hash(Top())
+
+
+def test_nodes_over_non_formula_children_construct():
+    odd = object()
+    assert And(odd, 3).left is odd
+    assert hash(Box(1, 3)) == hash(Box(1, 3))
+    assert Ck(odd) == Ck(odd)
+
+
+@pytest.mark.parametrize("seed", ["1", "2"])
+def test_pickled_nodes_rehash_in_the_receiving_process(seed):
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import kripkit
+    from kripkit import build_example, truth_set
+
+    text = "[]1 (p -> q) & ~q | []1 T"
+    code = ("import pickle, sys; from kripkit import parse; "
+            f"sys.stdout.buffer.write(pickle.dumps(parse({text!r})))")
+    package_root = os.path.dirname(os.path.dirname(kripkit.__file__))
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": package_root}
+    sent = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, check=True).stdout
+    f = pickle.loads(sent)
+    fresh = parse(text)
+    assert f == fresh and hash(f) == hash(fresh)
+    m = build_example("wedge")
+    truth_set(fresh, m)
+    assert (f, False) in m._eval_cache

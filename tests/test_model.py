@@ -265,6 +265,28 @@ def test_json_format_errors():
         model_from_dict([1, 2, 3])
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("leq_gen", "x<y", "leq_gen must be a list of pairs"),
+    ("leq_gen", [["x", "y"], ("y", "z")],
+     "leq_gen must contain [from, to] pairs"),
+    ("leq_gen", ["xy"], "leq_gen must contain [from, to] pairs"),
+    ("leq_gen", [["x"]], "leq_gen must contain [from, to] pairs"),
+    ("leq_gen", [["x", "y", "z"]], "leq_gen must contain [from, to] pairs"),
+    ("leq_gen", [[1, "y"]], "leq_gen must contain [from, to] pairs"),
+    ("leq_gen", [["x", None]], "leq_gen must contain [from, to] pairs"),
+    ("boxes", [{"x": "y"}], "boxes[0] must be a list of pairs"),
+    ("boxes", [[], [["x", ["y"]]]], "boxes[1] must contain [from, to] pairs"),
+    ("diamonds", [[["x", "y"]], 7], "diamonds[1] must be a list of pairs"),
+    ("diamonds", [[[True, False]]], "diamonds[0] must contain [from, to] pairs"),
+])
+def test_pair_list_shape_errors(key, value, message):
+    data = model_to_dict(build_example("wedge"))
+    data[key] = value
+    with pytest.raises(ModelFormatError) as caught:
+        model_from_dict(data)
+    assert str(caught.value) == message
+
+
 def test_model_equality_and_ordering_of_components():
     a = Model.make(["s", "t"], [("s", "t")], valuation={"p": {"t"}})
     b = Model.make(["t", "s"], [("s", "t")], valuation={"p": {"t"}})
