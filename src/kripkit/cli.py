@@ -1,12 +1,15 @@
 """Command line front end.
 
 Every verb reads JSON models from files, prints one JSON object to
-stdout (or --output), and keeps the byte stream deterministic: keys
-sorted, state lists sorted, two-space indent.  Exit status 0 means the
-verb ran; 1 means a domain error (bad model file, wrong flavor, failed
-precondition), reported on stderr; argparse itself exits 2 on usage
-errors.  hm-check is the exception worth knowing: it exits 0 only when
-the Hennessy-Milner property held, 1 when it did not.
+stdout (or --output), and keeps the byte stream deterministic: state
+lists are sorted, and the bytes are exactly those of
+json.dumps(obj, indent=2, sort_keys=True) + "\\n", that is sorted keys,
+a two-space indent and ASCII only, with \\u escapes for the rest
+(model._dumps writes them).  Exit status 0 means the verb ran; 1 means
+a domain error (bad model file, wrong flavor, failed precondition),
+reported on stderr; argparse itself exits 2 on usage errors.  hm-check
+is the exception worth knowing: it exits 0 only when the
+Hennessy-Milner property held, 1 when it did not.
 """
 
 from __future__ import annotations
@@ -21,24 +24,20 @@ from . import bisim as bisim_mod
 from . import distinguish, genframe, sampling, semantics
 from .errors import FlavorError, ToolError
 from .formula import Fragment, parse, translate
-from .model import (EK, FLAVORS, STANDARD, Model, build_example, dualize,
-                    load_model, model_to_dict, quotient, read_json,
+from .model import (EK, FLAVORS, STANDARD, Model, _dumps, build_example,
+                    dualize, load_model, model_to_dict, quotient, read_json,
                     strictify)
 
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
 
 
 def _emit(obj, output: str | None) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    text = _dumps(obj)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _pairs_list(pairs) -> list[list[str]]:
-    return [list(p) for p in sorted(pairs)]
 
 
 def _fragment(args) -> Fragment:
@@ -94,8 +93,8 @@ def _add_fragment_flags(sub) -> None:
 
 
 def _removal_dict(r: bisim_mod.Removal) -> dict:
-    return {"pair": list(r.pair), "stage": r.stage, "clause": r.clause,
-            "side": r.side, "transition": list(r.transition)}
+    return {"pair": r.pair, "stage": r.stage, "clause": r.clause,
+            "side": r.side, "transition": r.transition}
 
 
 _SAMPLE_SIZE = 50
@@ -242,7 +241,7 @@ def run(args) -> int:
             conditions = bisim_mod.conditions_for(frag, left.flavor)
             pairs, trace = bisim_mod.greatest_bisimulation(left, right,
                                                            conditions)
-            out = {"pairs": _pairs_list(pairs), "rounds": trace.rounds,
+            out = {"pairs": sorted(pairs), "rounds": trace.rounds,
                    "removed": [_removal_dict(r) for r in trace.removals]}
             if args.seed is not None or args.depth is not None:
                 if args.seed is None or args.depth is None:
@@ -258,20 +257,20 @@ def run(args) -> int:
             return 0
         if args.verb == "equiv":
             pairs, witnesses = distinguish.synthesize(left, right, frag)
-            _emit({"pairs": _pairs_list(pairs),
+            _emit({"pairs": sorted(pairs),
                    "witnesses": [w.to_dict() for w in witnesses]},
                   args.output)
             return 0
         if args.verb == "oracle":
             pairs, exact = distinguish.bounded_equivalence_oracle(
                 left, right, frag, args.budget)
-            _emit({"pairs": _pairs_list(pairs), "exact": exact}, args.output)
+            _emit({"pairs": sorted(pairs), "exact": exact}, args.output)
             return 0
         report = distinguish.hennessy_milner_check(left, right, frag,
                                                    args.budget)
         _emit({"passed": report.passed,
-               "fixpoint": _pairs_list(report.fixpoint),
-               "oracle": _pairs_list(report.oracle),
+               "fixpoint": sorted(report.fixpoint),
+               "oracle": sorted(report.oracle),
                "oracle_exact": report.oracle_exact,
                "witnesses": [w.to_dict() for w in report.witnesses],
                "problems": list(report.problems)}, args.output)

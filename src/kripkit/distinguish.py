@@ -52,7 +52,7 @@ from .bisim import (ConditionSet, conditions_for, greatest_bisimulation,
                     resolved_tasks)
 from .errors import InternalCheckError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Dia, Formula, Fragment, Imp, Or,
-                      Sub, TBox, TDia, Top, connective_count)
+                      Sub, TBox, TDia, Top, connective_count, to_string)
 from .model import Model, require_valid
 from .relations import _bits
 
@@ -75,7 +75,8 @@ class Witness:
     stage: int
 
     def to_dict(self) -> dict:
-        return {"pair": list(self.pair), "formula": str(self.formula),
+        return {"pair": list(self.pair),
+                "formula": to_string(self.formula),
                 "orientation": self.orientation, "stage": self.stage}
 
 
@@ -135,6 +136,8 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
     tasks = {t.clause: t for t in resolved_tasks(conditions, m, m2)}
     by_pair: dict[tuple[str, str], Witness] = {}
     out: list[Witness] = []
+    # (clause, owner, state) -> the other side's cover of state, sorted
+    covers: dict[tuple[str, str, str], list[str]] = {}
 
     for removal in trace.removals:
         x, x2 = removal.pair
@@ -148,12 +151,15 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
             shape, index = task.shape, task.index
             owner = removal.side
             t = removal.transition[1]
+            key = (removal.clause, owner, x2 if owner == "left" else x)
+            cover = covers.get(key)
+            if cover is None:
+                succ = task.right if owner == "left" else task.left
+                cover = covers[key] = sorted(succ.get(key[2], _EMPTY))
             if owner == "left":
-                cover = task.right.get(x2, _EMPTY)
-                earlier = [(t, c) for c in sorted(cover)]
+                earlier = [(t, c) for c in cover]
             else:
-                cover = task.left.get(x, _EMPTY)
-                earlier = [(c, t) for c in sorted(cover)]
+                earlier = [(c, t) for c in cover]
             true_at_t: list[Formula] = []
             true_at_cover: list[Formula] = []
             for pair in earlier:

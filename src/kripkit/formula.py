@@ -49,7 +49,16 @@ class Formula:
     already; so hashing costs O(1) at any depth.  Equality, printing
     and evaluation still recurse over the tree.  Each node class
     restates __hash__ in its own body, because a frozen dataclass
-    replaces an inherited one with a hash of its fields."""
+    replaces an inherited one with a hash of its fields.
+
+    connective_count and to_string remember their answers in one
+    attribute outside the dataclass fields, _memo: the connective
+    count, or (count, text) once the node is printed; a leaf's count,
+    0, is a class attribute.  One attribute, because CPython 3.11 gives
+    a node room for one attribute beyond those it was built with, and
+    a second gives the node a dict of its own (about 230 bytes).  repr,
+    equality and hashing ignore _memo, and a pickle does not carry
+    it."""
 
     def __str__(self) -> str:
         return to_string(self)
@@ -72,6 +81,8 @@ _set = object.__setattr__
 class Atom(Formula):
     name: str
 
+    _memo = 0  # the connective count of every leaf
+
     def __post_init__(self):
         _set(self, "_h", hash((Atom, self.name)))
 
@@ -80,6 +91,8 @@ class Atom(Formula):
 
 @dataclass(frozen=True)
 class Top(Formula):
+    _memo = 0  # the connective count of every leaf
+
     def __post_init__(self):
         _set(self, "_h", hash((Top,)))
 
@@ -88,6 +101,8 @@ class Top(Formula):
 
 @dataclass(frozen=True)
 class Bot(Formula):
+    _memo = 0  # the connective count of every leaf
+
     def __post_init__(self):
         _set(self, "_h", hash((Bot,)))
 
@@ -417,13 +432,26 @@ _PRECEDENCE = {And: 3, Or: 2, Imp: 1, Sub: 1}
 
 
 def to_string(f: Formula) -> str:
-    """Render with the minimal parenthesization that reparses to f."""
-    return _render(f, 0, None)
+    """Render with the minimal parenthesization that reparses to f.
+
+    The text is stored on f, and only on f, so memory grows with what
+    callers print, not with the square of a deep chain's depth; later
+    renderings of f, or of formulas built over it, reuse it."""
+    memo = getattr(f, "_memo", None)
+    if type(memo) is tuple:
+        return memo[1]
+    text = _render(f, 0, None)
+    _set(f, "_memo", (connective_count(f), text))
+    return text
 
 
 def _render(f: Formula, floor: int, arrow_ctx: type | None) -> str:
     prec = _PRECEDENCE.get(type(f), 4)
-    if isinstance(f, Atom):
+    # a stored text is f unparenthesised; the context below adds them
+    memo = getattr(f, "_memo", None)
+    if type(memo) is tuple:
+        out = memo[1]
+    elif isinstance(f, Atom):
         out = f.name
     elif isinstance(f, Top):
         out = "T"
@@ -465,13 +493,42 @@ def atoms_of(f: Formula) -> frozenset[str]:
     return atoms_of(f.body)
 
 
+def _stored_count(f: Formula) -> int | None:
+    memo = getattr(f, "_memo", None)
+    return memo[0] if type(memo) is tuple else memo
+
+
 def connective_count(f: Formula) -> int:
-    """Number of connective nodes; atoms and constants count zero."""
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, (And, Or, Imp, Sub)):
-        return 1 + connective_count(f.left) + connective_count(f.right)
-    return 1 + connective_count(f.body)
+    """Number of connective nodes; atoms and constants count zero.
+
+    A post-order walk without recursion that stores each node's count
+    on the node and stops at nodes that have one already."""
+    count = _stored_count(f)
+    if count is not None:
+        return count
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        if isinstance(g, (And, Or, Imp, Sub)):
+            left, right = _stored_count(g.left), _stored_count(g.right)
+            if left is None:
+                todo.append(g.left)
+            if right is None:
+                todo.append(g.right)
+            if left is None or right is None:
+                continue
+            count = left + right + 1
+        elif isinstance(g, Formula):
+            body = _stored_count(g.body)
+            if body is None:
+                todo.append(g.body)
+                continue
+            count = body + 1
+        else:
+            raise TypeError(f"not a formula node: {g!r}")
+        todo.pop()
+        _set(g, "_memo", count)
+    return count
 
 
 def nesting_depth(f: Formula) -> int:

@@ -24,6 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Sequence
 
 from . import relations as rel
@@ -650,4 +651,84 @@ def load_model(path: str) -> Model:
 
 
 def model_to_json(m: Model) -> str:
-    return json.dumps(model_to_dict(m), indent=2, sort_keys=True) + "\n"
+    return _dumps(model_to_dict(m))
+
+
+def _dumps(obj) -> str:
+    """The bytes of json.dumps(obj, indent=2, sort_keys=True) + "\n",
+    the format of model files and of every CLI output.
+
+    An indent makes json.dumps fall back from its C encoder to a pure
+    Python one.  This writer keeps the escaping in C
+    (encode_basestring_ascii) and writes a list of like members a
+    column at a time (_members).  A dict key that is not a str raises
+    TypeError, where json.dumps would convert some."""
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(value, newline: str) -> str:
+    """value as json.dumps writes it at indent 2, where newline is the
+    line break plus the indent of the line value starts on."""
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [_quote(key) + ": " + _encode(value[key], inner)
+             for key in sorted(value)]) + newline + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return ("[" + inner + ("," + inner).join(_members(value, inner))
+                + newline + "]")
+    # floats and the rest are scalars to json.dumps, which writes a
+    # scalar the same at every indent
+    return json.dumps(value)
+
+
+def _members(values, newline: str) -> list[str]:
+    """_encode of each member of a nonempty list, with fast paths for
+    the shapes the CLI writes: all strings, all plain ints, all
+    nonempty lists of strings (state pairs), and dicts that all have
+    the same keys (removals, witnesses), which are written a column at
+    a time."""
+    kind = type(values[0])
+    if kind is str:
+        try:
+            return list(map(_quote, values))
+        except TypeError:  # not every member is a string
+            pass
+    elif kind is int:
+        if all(type(v) is int for v in values):
+            return list(map(int.__repr__, values))
+    elif kind is list or kind is tuple:
+        if all((type(v) is list or type(v) is tuple) and v for v in values):
+            inner = newline + "  "
+            sep = "," + inner
+            try:
+                return ["[" + inner + sep.join(map(_quote, v)) + newline
+                        + "]" for v in values]
+            except TypeError:  # not every member of a row is a string
+                pass
+    elif kind is dict and values[0]:
+        keys = values[0].keys()
+        if all(type(d) is dict and d.keys() == keys for d in values):
+            order = sorted(keys)
+            inner = newline + "  "
+            row = "{" + ",".join(
+                [inner + _quote(key).replace("%", "%%") + ": %s"
+                 for key in order]) + newline + "}"
+            columns = [_members([d[key] for d in values], inner)
+                       for key in order]
+            return [row % cells for cells in zip(*columns)]
+    return [_encode(v, newline) for v in values]

@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,8 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kripkit
+from kripkit import Fragment, sampling
 from kripkit.cli import main
-from kripkit.model import build_example, model_from_dict, model_to_json
+from kripkit.model import (FLAVORS, _dumps, build_example, model_from_dict,
+                           model_to_dict, model_to_json)
 
 
 @pytest.fixture
@@ -464,3 +467,170 @@ def test_any_option_text_is_a_clean_exit(fuzz_dir, text):
     check_clean_exit(["closure", "--model", wedge, f"--generators={text}"])
     check_clean_exit(["descriptive-check", "--model", wedge,
                       f"--algebra={text}"])
+
+
+# ---------------------------------------------------------------------------
+# The output writer: json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def reference_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+# Escapes, the % the column writer formats with, non-ASCII, astral and
+# lone surrogate text; the rest is drawn.
+TEXT = st.sampled_from(['', '"', "\\", '\\"x"', "\x00\x1f\x7f\t\n", "%s",
+                        "%%", "é", "\u2028", "\U0001F600", "\ud800", "a b"]) \
+    | st.text(st.characters(exclude_categories=()), max_size=6)
+SCALARS = (st.none() | st.booleans() | TEXT
+           | st.integers(-2**70, 2**70) | st.sampled_from([0, -1, 10**40])
+           | st.floats())
+
+
+def _containers(kids):
+    rows = st.lists(kids, max_size=4)
+    keyed = st.lists(TEXT, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(dict.fromkeys(keys,
+                                                                  kids)),
+                              min_size=1, max_size=4))
+    return (rows | rows.map(tuple)
+            | st.dictionaries(TEXT, kids, max_size=4)
+            | keyed
+            | st.lists(st.lists(TEXT, min_size=1, max_size=3).map(tuple),
+                       min_size=1, max_size=4)
+            | st.lists(st.integers(-5, 5) | st.booleans(), max_size=4)
+            | st.lists(st.dictionaries(TEXT, kids, max_size=2), max_size=4))
+
+
+JSON_OUT = st.recursive(SCALARS, _containers, max_leaves=30)
+
+
+@settings(max_examples=400)
+@given(JSON_OUT)
+def test_the_writer_gives_the_bytes_of_json_dumps(value):
+    assert _dumps(value) == reference_dumps(value)
+
+
+def test_the_writer_refuses_keys_that_are_not_strings():
+    for value in ({1: "a"}, {"a": [{("x",): 1}]}, [{1: 2}, {1: 3}],
+                  {None: 0}, {"a": 1, 2: "b"}):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def test_model_files_are_written_by_the_same_writer():
+    for name, params in (("wedge", ()), ("spines", (3,)),
+                         ("porcupine_trimmed", (2,))):
+        m = build_example(name, params)
+        assert model_to_json(m) == reference_dumps(model_to_dict(m))
+
+
+def _stdout(argv) -> str:
+    """main's stdout; argparse exits and errors leave it empty."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            main(argv)
+        except SystemExit:
+            pass
+    return out.getvalue()
+
+
+# flavor, fragment, random_model arguments
+FLAVOR_ROWS = (
+    ("standard", Fragment("biint", 1, 1), dict(n_boxes=1, n_diamonds=1)),
+    ("fs", Fragment("int", 1, 1), {}),
+    ("gpt", Fragment("biint", 1, 1, True), {}),
+    ("tense", Fragment("biint", 1, 1, True), {}),
+    ("h", Fragment("biint", 1, 1, True), {}),
+    ("ek", Fragment("int", 2, 0), dict(n_boxes=2)),
+)
+assert sorted(row[0] for row in FLAVOR_ROWS) == sorted(FLAVORS)
+
+
+def _flags(frag: Fragment) -> list[str]:
+    return (["--fragment", frag.base, "--boxes", str(frag.n_boxes),
+             "--diamonds", str(frag.m_diamonds)]
+            + ["--tense"] * frag.tense)
+
+
+def _every_verb(left: str, right: str, flags: list[str], formula: str):
+    """argv lists that run every verb on one pair of model files."""
+    one, pair = ["--model", left], ["--left", left, "--right", right]
+    yield ["validate"] + one
+    yield ["eval"] + one + ["--formula", formula]
+    yield ["bisim"] + pair + flags
+    yield ["bisim"] + pair + flags + ["--seed", "3", "--depth", "2"]
+    yield ["equiv"] + pair + flags
+    yield ["oracle"] + pair + flags
+    yield ["oracle"] + pair + flags + ["--budget", "2"]
+    yield ["hm-check"] + pair + flags
+    yield ["quotient"] + one + flags
+    yield ["strictify"] + one
+    yield ["dualize"] + one
+    yield ["translate", "--formula", formula]
+    yield ["closure"] + one + ["--generators", "valuation",
+                               "--ops", "arrow,coarrow,boxbar_1"]
+    with open(left, encoding="utf-8") as fh:
+        states = json.load(fh)["states"]
+    yield ["descriptive-check"] + one + ["--algebra",
+                                         json.dumps([[], states])]
+
+
+def _models_under_test(tmp_path):
+    """(left, right, fragment flags, formula) over the gallery pairs,
+    a wedge whose state names need escapes, and random strictly
+    condensed pairs of all six flavors."""
+    def write(name, m):
+        path = tmp_path / f"{name}.json"
+        path.write_text(model_to_json(m))
+        return str(path)
+
+    gallery = [(("wedge", ()), ("wedge_strict", ()),
+                ["--fragment", "biint", "--boxes", "1"])]
+    gallery += [(("spines", (k,)), ("spines", (k + 1,)),
+                 ["--fragment", "int", "--boxes", "1"]) for k in (1, 3)]
+    gallery += [(("porcupine", (n,)), ("porcupine_trimmed", (n,)),
+                 ["--fragment", "biint"]) for n in (1, 2)]
+    for (name, params), (name2, params2), flags in gallery:
+        yield (write(f"{name}{params}", build_example(name, params)),
+               write(f"{name2}{params2}", build_example(name2, params2)),
+               flags, "[]1 (p -> q) | ~p")
+    data = json.loads(model_to_json(build_example("wedge")))
+    odd = {"x": "x\"\\é", "y": "y\U0001F600", "z": "z%s\x01"}
+    data["states"] = [odd[s] for s in data["states"]]
+    data["leq_gen"] = [[odd[a], odd[b]] for a, b in data["leq_gen"]]
+    data["boxes"] = [[[odd[a], odd[b]] for a, b in r] for r in data["boxes"]]
+    data["valuation"] = {k: [odd[s] for s in v]
+                         for k, v in data["valuation"].items()}
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(data))
+    yield (str(path), str(path), ["--fragment", "biint", "--boxes", "1"],
+           "p -< q")
+    for flavor, frag, kw in FLAVOR_ROWS:
+        for i in range(3):
+            rng = random.Random(80_000 + i)
+            m = sampling.random_model(rng, flavor, n_states=2 + i,
+                                      strict=True, **kw)
+            m2 = sampling.random_model(rng, flavor, n_states=3, strict=True,
+                                       **kw)
+            text = str(sampling.random_formula(rng, frag, 2, ("p", "q")))
+            yield (write(f"{flavor}{i}a", m), write(f"{flavor}{i}b", m2),
+                   _flags(frag), text)
+
+
+def test_every_verb_prints_the_bytes_of_json_dumps(tmp_path):
+    printed = {}
+    for left, right, flags, formula in _models_under_test(tmp_path):
+        for argv in _every_verb(left, right, flags, formula):
+            out = _stdout(argv)
+            if out:
+                assert out == reference_dumps(json.loads(out)), argv
+                printed[argv[0]] = printed.get(argv[0], 0) + 1
+    for name in ("wedge", "spines(4)", "omega_chain(3)",
+                 "porcupine_trimmed(2)"):
+        out = _stdout(["example", "--name", name])
+        assert out == reference_dumps(json.loads(out))
+    # every verb but example printed on several of the pairs
+    assert len(printed) == 12 and min(printed.values()) >= 5, printed

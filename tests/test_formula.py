@@ -295,3 +295,50 @@ def test_pickled_nodes_rehash_in_the_receiving_process(seed):
     m = build_example("wedge")
     truth_set(fresh, m)
     assert (f, False) in m._eval_cache
+
+
+def test_stored_text_and_count_stay_out_of_sight():
+    import dataclasses
+    import pickle
+
+    import kripkit
+
+    text = "[]1 (p & q -> <|2 r) | C q -< T"
+    f, twin = parse(text), parse(text)
+    names = dir(kripkit)
+    before = (repr(f), hash(f), [fl.name for fl in dataclasses.fields(f)])
+    assert str(f) == text and connective_count(f) == 7
+    assert (repr(f), hash(f), [fl.name for fl in dataclasses.fields(f)]) \
+        == before
+    assert f == twin and twin == f and hash(twin) == hash(f)
+    assert dir(kripkit) == names
+    # the text is stored on the node printed and nowhere below it, and
+    # each node holds one attribute beyond those it was built with
+    assert vars(f)["_memo"] == (7, text)
+    assert vars(f.left)["_memo"] == 6
+    assert set(vars(f)) == set(vars(f.left)) == {"left", "right", "_h",
+                                                 "_memo"}
+    copy = pickle.loads(pickle.dumps(f))
+    assert copy == f and hash(copy) == hash(f)
+    assert "_memo" not in vars(copy)
+    assert str(copy) == text
+
+
+def test_counts_of_deep_and_shared_formulas_need_no_recursion():
+    # a chain this deep used to end in RecursionError
+    f = p
+    for _ in range(3000):
+        f = Box(1, f)
+    assert connective_count(f) == 3000
+    g = q
+    for i in range(3000):
+        g = And(g, r) if i % 2 else Imp(p, g)
+    assert connective_count(g) == 3000
+    # 60 levels of sharing: a walk that did not stop at stored counts
+    # would visit 2**60 nodes
+    h = p
+    for _ in range(60):
+        h = And(h, h)
+    assert connective_count(h) == 2**60 - 1
+    with pytest.raises(TypeError, match="not a formula node"):
+        connective_count(Box(1, 3))

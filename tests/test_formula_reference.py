@@ -7,7 +7,9 @@ token table, one dual table and one usage walk replaced them.  The
 current code must give the same trees, the same results and the same
 exceptions (type and text, offsets included) on every input, and
 random_formula must draw the same formulas and leave its Random in the
-same state.
+same state.  The printer below is the one from before to_string stored
+its text on the node; str must agree with it whatever was printed
+first.
 
 Two differences are intended and checked as such: admits rejects C
 under a fragment with no box (C reads the box relations), and a
@@ -19,6 +21,7 @@ recursion.
 
 from __future__ import annotations
 
+import pickle
 import random
 import re
 from typing import Sequence
@@ -27,7 +30,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kripkit import formula as kf
-from kripkit import sampling
+from kripkit import build_example, sampling, synthesize
 from kripkit.errors import FragmentError, ParseError
 from kripkit.formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment,
                              Imp, Or, Sub, TBox, TDia, Top, to_string)
@@ -317,6 +320,47 @@ def fragment_of(f: Formula) -> Fragment:
 
 
 # ---------------------------------------------------------------------------
+# Printing
+
+_PRECEDENCE = {And: 3, Or: 2, Imp: 1, Sub: 1}
+_MODAL_SYMBOL = {Box: "[]", Dia: "<>", TDia: "<|", TBox: "|>"}
+
+
+def render(f: Formula) -> str:
+    return _render(f, 0, None)
+
+
+def _render(f: Formula, floor: int, arrow_ctx: type | None) -> str:
+    prec = _PRECEDENCE.get(type(f), 4)
+    if isinstance(f, Atom):
+        out = f.name
+    elif isinstance(f, Top):
+        out = "T"
+    elif isinstance(f, Bot):
+        out = "F"
+    elif isinstance(f, And):
+        out = f"{_render(f.left, 3, None)} & {_render(f.right, 4, None)}"
+    elif isinstance(f, Or):
+        out = f"{_render(f.left, 2, None)} | {_render(f.right, 3, None)}"
+    elif isinstance(f, Imp):
+        out = f"{_render(f.left, 2, None)} -> {_render(f.right, 1, Imp)}"
+    elif isinstance(f, Sub):
+        out = f"{_render(f.left, 1, Sub)} -< {_render(f.right, 2, None)}"
+    elif isinstance(f, (Box, Dia, TDia, TBox)):
+        out = f"{_MODAL_SYMBOL[type(f)]}{f.index} {_render(f.body, 4, None)}"
+    elif isinstance(f, Ck):
+        out = f"C {_render(f.body, 4, None)}"
+    else:
+        raise TypeError(f"not a formula node: {f!r}")
+    # Parenthesize when binding too loosely for the context, and when
+    # sitting in an arrow chain of the other arrow (the parser refuses
+    # mixed chains).
+    if prec < floor or (prec == 1 and floor == 1 and type(f) is not arrow_ctx):
+        return f"({out})"
+    return out
+
+
+# ---------------------------------------------------------------------------
 # The dualizing translation
 
 
@@ -566,3 +610,62 @@ def test_random_formula_matches_reference():
                                           allow_ck=allow_ck)
                     assert got == want
             assert rng.getstate() == ref.getstate()
+
+
+def nodes_of(f: Formula) -> list[Formula]:
+    """Every node of f, parents before children."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        if isinstance(g, (And, Or, Imp, Sub)):
+            todo += [g.right, g.left]
+        elif not isinstance(g, (Atom, Top, Bot)):
+            todo.append(g.body)
+    return out
+
+
+# Every context a stored text can land in: each side of each binary
+# connective and under a prefix operator.
+CONTEXTS = (lambda f: And(f, f), lambda f: Or(f, f), lambda f: Imp(f, f),
+            lambda f: Sub(f, f), lambda f: Imp(Sub(f, f), Imp(f, f)),
+            lambda f: Sub(Imp(f, f), Sub(f, f)), lambda f: Box(2, f),
+            lambda f: Ck(f))
+
+
+@settings(max_examples=300)
+@given(FORMULAS, st.randoms(use_true_random=False))
+def test_str_matches_the_reference_printer_in_any_order(f, rnd):
+    nodes = nodes_of(f)
+    rnd.shuffle(nodes)
+    for g in nodes[:rnd.randrange(len(nodes) + 1)]:
+        str(g)
+    for g in [f] + nodes:
+        assert str(g) == to_string(g) == render(g)
+    for context in CONTEXTS:
+        assert str(context(f)) == render(context(f))
+
+
+def test_witness_texts_match_the_reference_printer_in_any_order():
+    gallery = (
+        [("spines", (k,), "spines", (k + 1,), Fragment("int", 1, 0))
+         for k in range(1, 7)]
+        + [("porcupine", (n,), "porcupine_trimmed", (n,),
+            Fragment("biint", 0, 0)) for n in range(1, 5)])
+    rnd = random.Random(90_000)
+    for name, params, name2, params2, frag in gallery:
+        _, witnesses = synthesize(build_example(name, params),
+                                  build_example(name2, params2), frag)
+        formulas = [w.formula for w in witnesses]
+        want = [render(f) for f in formulas]
+        # copies carry no stored text, so each order prints afresh
+        for order in ("shuffled", "reversed", "synthesis"):
+            copies = pickle.loads(pickle.dumps(formulas))
+            indexes = list(range(len(copies)))
+            if order == "shuffled":
+                rnd.shuffle(indexes)
+            elif order == "reversed":
+                indexes.reverse()
+            for i in indexes:
+                assert str(copies[i]) == want[i]
+        assert [w.to_dict()["formula"] for w in witnesses] == want
