@@ -34,9 +34,10 @@ declares two states equivalent when no definable set splits them.
 Those sets are the upsets of one preorder on the states (Birkhoff), so
 without a budget the oracle refines that preorder by the connectives
 applied to irreducible sets, in polynomial time; a budget instead
-lists definable sets, cheapest formula first.  It works on bit masks
-from semantics and shares no code with the refinement.
-hennessy_milner_check ties the two together.
+lists definable sets, cheapest formula first.  It works on bit masks,
+and the preorder refinement is semantics._definable_preorder, which
+genframe.close_algebra shares; it shares no code with the bisimulation
+refinement.  hennessy_milner_check ties the two together.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
 from typing import Iterable
 
 from . import semantics
@@ -222,13 +222,34 @@ def _check_budget(budget: int | None) -> None:
         raise PreconditionError(f"budget must be >= 0, got {budget}")
 
 
+class _Table(dict):
+    """One arrow's results, filled on first lookup and kept for a
+    single budgeted closure; a hit is a plain subscript.  A full table
+    is emptied before it grows further, so its memory stays bounded."""
+
+    # Keys are arbitrary state sets, up to 2^(n+m) of them, so a large
+    # budget could grow a table without bound; this cap holds two
+    # tables near 4 MB.
+    CAP = 1 << 14
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: int) -> int:
+        if len(self) >= self.CAP:
+            self.clear()
+        value = self[key] = self._compute(key)
+        return value
+
+
 def _budgeted_closure(generators: list[int], unary: list, arrows: list,
                       budget: int) -> tuple[list[int], bool]:
     """Admit at most `budget` derived signatures, cheapest connective
     count first, ties broken by push order.  Returns the admitted
     signatures and whether the worklist ran dry first."""
     binary = [(lambda a, b: a & b, True), (lambda a, b: a | b, True)]
-    binary += [(lambda a, b, table=semantics._Table(arrow): table[a & ~b],
+    binary += [(lambda a, b, table=_Table(arrow): table[a & ~b],
                 False) for arrow in arrows]
 
     closed: dict[int, int] = dict.fromkeys(generators, 0)
@@ -273,65 +294,6 @@ def _budgeted_closure(generators: list[int], unary: list, arrows: list,
     return list(closed), True
 
 
-def _refine(classes: dict[int, int], sets) -> bool:
-    """Cut a preorder by each mask in sets, so that a state in a set
-    stays below only the states in it.  classes maps the up mask of
-    each class of mutually below states (the states above them) to its
-    members.  Returns whether any class changed."""
-    changed = False
-    for s in sets:
-        for up, members in list(classes.items()):
-            inside = members & s
-            if inside and up & ~s:
-                changed = True
-                del classes[up]
-                classes[up & s] = inside
-                if inside != members:
-                    classes[up] = members & ~s
-    return changed
-
-
-def _definable_preorder(n: int, generators: list[int], modal: list,
-                        arrows: list) -> dict[int, int]:
-    """The least family of n-bit masks that holds the generators, 0 and
-    the carrier and is closed under & and | and the given _Kernel
-    connectives, as the preorder it is the upsets of (Birkhoff), in
-    _refine's classes: a class's up mask is the least member holding
-    it.  modal pairs each unary connective with whether it preserves &
-    (boxes) rather than | (diamonds).
-
-    Every connective distributes, so it is enough to apply it to the
-    irreducible members.  Boxes go to the meet-irreducibles, the
-    carrier minus the down mask of a class (the states below it);
-    diamonds go to the join-irreducibles, the up masks; an arrow
-    depends on a & ~b only, which over a join- and a meet-irreducible
-    is an up mask and a down mask.  Each round applies every
-    connective to the current irreducibles and cuts the preorder by
-    the results; a round that cuts nothing ends the loop."""
-    full = (1 << n) - 1
-    classes = {full: full}
-    _refine(classes, generators)
-    while True:
-        downs = []
-        for members in classes.values():
-            low = members & -members
-            downs.append(reduce(or_, [below for up, below in classes.items()
-                                      if up & low]))
-        fresh = set()
-        for op, preserves_meets in modal:
-            if preserves_meets:
-                fresh.update([op(full & ~down) for down in downs])
-            else:
-                fresh.update(map(op, classes))
-        if arrows:
-            spans = {up & down for up in classes for down in downs}
-            spans.discard(0)
-            for arrow in arrows:
-                fresh.update(map(arrow, spans))
-        if not _refine(classes, fresh):
-            return classes
-
-
 def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
                                budget: int | None = None):
     """Which state pairs agree on every fragment formula, decided by
@@ -340,10 +302,11 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
     Formulas are explored as signature pairs (truth set here, truth
     set there), one bit mask over both models.  Without a budget the
     answer is exact: the definable masks are the upsets of one
-    preorder on the states of both models, which _definable_preorder
-    refines from the atoms, T and F by the fragment's connectives
-    applied to irreducible members only, in polynomial time; two
-    states are equivalent when each is below the other.  A budget,
+    preorder on the states of both models, which
+    semantics._definable_preorder refines from the atoms, T and F by
+    the fragment's connectives applied to irreducible members only, in
+    polynomial time; two states are equivalent when each is below the
+    other.  A budget,
     which must be >= 0, instead lists derived signatures, cheapest
     connective count first, and admits at most that many; that order
     only decides which signatures a budgeted run admits.  Exhausting
@@ -370,13 +333,13 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
         | semantics._mask(m2, m2.valuation.get(a, _EMPTY)) << kernel.offsets[1]
         for a in atoms]
     if budget is None:
-        classes = _definable_preorder(n, generators, modal, arrows)
+        classes = semantics._definable_preorder(n, generators, modal, arrows)
         exact = True
     else:
         closed, exact = _budgeted_closure(
             generators, [op for op, _ in modal], arrows, budget)
         classes = {full: full}
-        _refine(classes, closed)
+        semantics._refine(classes, closed)
 
     shift = kernel.offsets[1]
     pairs = {(m.states[i], m2.states[j]) for members in classes.values()

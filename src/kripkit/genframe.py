@@ -1,10 +1,11 @@
 """General frames at desk scale: explicit families of admissible sets.
 
 A set algebra is a family of state sets containing the empty set and
-the whole carrier.  close_algebra grows a family of generators until
-it is closed under intersection, union, and a chosen list of set
-operators, by semantics' closure over the model's bit masks;
-is_general_model asks whether a family supports a whole fragment;
+the whole carrier.  close_algebra closes a family of generators under
+intersection, union, and a chosen list of set operators; the result
+is the upsets of the preorder semantics._definable_preorder computes,
+as for the exact oracle.  is_general_model asks whether a family
+supports a whole fragment;
 descriptive_box_check asks whether the box relation can be read back
 off the algebra, the finite shadow of descriptiveness:
 
@@ -24,6 +25,11 @@ from . import semantics
 from .errors import ModelFormatError, PreconditionError
 from .formula import Box, Fragment
 from .model import Model
+
+
+# n singletons on a discrete order close to 2^n + 1 sets; porcupine(6)
+# with both arrows closes to 40,321.
+MAX_ALGEBRA_SIZE = 50_000
 
 
 def _canon_key(s: frozenset):
@@ -67,12 +73,13 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
                   ops: Sequence[str] = ()) -> SetAlgebra:
     """Close a family of generators under intersection, union, and the
     named operators ("arrow", "coarrow", "boxbar_i", "diabar_j").  The
-    empty set and the carrier are always thrown in.  Terminates
-    because there are only finitely many state sets.  Raises ValueError
+    empty set and the carrier are always thrown in.  Raises ValueError
     on an unknown name, then ModelFormatError on an unknown state, then
     FlavorError on an operator the model cannot interpret, then, with
     ops given, PreconditionError on the first non-upset generator in
-    canonical order or on a non-upset operator result."""
+    canonical order or on a non-upset operator result; and on a family
+    of more than MAX_ALGEBRA_SIZE sets.  The cost is polynomial in the
+    states and generators, plus one step per class and output set."""
     entries = [semantics._operator(op) for op in ops]
     family: set[frozenset] = {frozenset(), m.state_set}
     for g in generators:
@@ -83,7 +90,8 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
                 f"generator mentions unknown state {sorted(unknown)[0]!r}")
         family.add(g)
     kernel = semantics._Kernel([m])
-    unary = [kernel.connective(*e) for e in entries if e[1] is not None]
+    modal = [(kernel.connective(key, index), semantics._reads_all(key))
+             for key, index in entries if index is not None]
     arrows = [kernel.connective(*e) for e in entries if e[1] is None]
 
     def states(a: int) -> frozenset:
@@ -101,10 +109,17 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
 
         for g in sorted(family, key=_canon_key):
             upset(semantics._mask(m, g))
-        unary = [lambda a, op=op: upset(op(a)) for op in unary]
+        modal = [(lambda a, op=op: upset(op(a)), reads_all)
+                 for op, reads_all in modal]
         arrows = [lambda d, op=op: upset(op(d)) for op in arrows]
-    members = semantics._closure([semantics._mask(m, g) for g in family],
-                                 unary, arrows)
+    classes = semantics._definable_preorder(
+        len(m.states), [semantics._mask(m, g) for g in family], modal, arrows)
+    members = {0}
+    for above in classes:
+        members.update([a | above for a in members])
+        if len(members) > MAX_ALGEBRA_SIZE:
+            raise PreconditionError(
+                f"the closed family has more than {MAX_ALGEBRA_SIZE} sets")
     return SetAlgebra(map(states, members))
 
 

@@ -29,20 +29,22 @@ request: an operator class keys the effective relation above, so that
 choice is made here only, and a bisim clause shape keys the stored
 relation that clause reads.  The table numbers the states and holds
 each entry as bit masks too, which the refinement reads; _Kernel lays
-several models' masks side by side for the oracle and close_algebra,
-and _closure saturates a family of them for close_algebra.  Truth
-sets are cached on the model as well, so repeated evaluation stays
-cheap.
+several models' masks side by side, and _definable_preorder computes
+the least family of masks closed under its connectives as the
+preorder that family is the upsets of.  The exact oracle and
+close_algebra both build their families that way.  Truth sets are
+cached on the model as well, so repeated evaluation stays cheap.
 """
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Iterator
 
 from . import relations as rel
-from .errors import FlavorError, PreconditionError
+from .errors import FlavorError, ModelFormatError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
                       Or, Sub, TBox, TDia, Top)
 from .model import EK, FS, GPT, H, STANDARD, TENSE, Model
@@ -232,8 +234,8 @@ class _Kernel:
         """Table entry (key, index) as a connective on masks: for the
         arrows "imp" and "sub" (index None) a function of a & ~b, since
         that is all imp(a, b) and sub(a, b) depend on, and for a key of
-        _MODAL a function of a.  A closure meets each unary connective
-        once per mask, so only the arrows repeat work worth a _Table."""
+        _MODAL a function of a.  A call scans each state's successor
+        mask once."""
         succ = [x << shift for m, shift in zip(self.models, self.offsets)
                 for x in _succ_masks(m, key, index)]
         if key == "imp":
@@ -243,6 +245,65 @@ class _Kernel:
         if _reads_all(key):
             return lambda a: _bits_disjoint(succ, ~a)
         return partial(_bits_meeting, succ)
+
+
+def _refine(classes: dict[int, int], sets) -> bool:
+    """Cut a preorder by each mask in sets, so that a state in a set
+    stays below only the states in it.  classes maps the up mask of
+    each class of mutually below states (the states above them) to its
+    members.  Returns whether any class changed."""
+    changed = False
+    for s in sets:
+        for up, members in list(classes.items()):
+            inside = members & s
+            if inside and up & ~s:
+                changed = True
+                del classes[up]
+                classes[up & s] = inside
+                if inside != members:
+                    classes[up] = members & ~s
+    return changed
+
+
+def _definable_preorder(n: int, generators: list[int], modal: list,
+                        arrows: list) -> dict[int, int]:
+    """The least family of n-bit masks that holds the generators, 0 and
+    the carrier and is closed under & and | and the given _Kernel
+    connectives, as the preorder it is the upsets of (Birkhoff), in
+    _refine's classes: a class's up mask is the least member holding
+    it.  modal pairs each unary connective with whether it preserves &
+    (boxes) rather than | (diamonds).
+
+    Every connective distributes, so it is enough to apply it to the
+    irreducible members.  Boxes go to the meet-irreducibles, the
+    carrier minus the down mask of a class (the states below it);
+    diamonds go to the join-irreducibles, the up masks; an arrow
+    depends on a & ~b only, which over a join- and a meet-irreducible
+    is an up mask and a down mask.  Each round applies every
+    connective to the current irreducibles and cuts the preorder by
+    the results; a round that cuts nothing ends the loop."""
+    full = (1 << n) - 1
+    classes = {full: full}
+    _refine(classes, generators)
+    while True:
+        downs = []
+        for members in classes.values():
+            low = members & -members
+            downs.append(reduce(or_, [below for up, below in classes.items()
+                                      if up & low]))
+        fresh = set()
+        for op, preserves_meets in modal:
+            if preserves_meets:
+                fresh.update([op(full & ~down) for down in downs])
+            else:
+                fresh.update(map(op, classes))
+        if arrows:
+            spans = {up & down for up in classes for down in downs}
+            spans.discard(0)
+            for arrow in arrows:
+                fresh.update(map(arrow, spans))
+        if not _refine(classes, fresh):
+            return classes
 
 
 def _connectives(frag: Fragment) -> Iterator[tuple]:
@@ -261,59 +322,6 @@ def _connectives(frag: Fragment) -> Iterator[tuple]:
     for op, count in modal:
         for i in range(1, count + 1):
             yield op, i
-
-
-class _Table(dict):
-    """One arrow's results, filled on first lookup and kept for a
-    single closure; a hit is a plain subscript.  A full table is
-    emptied before it grows further, so its memory stays bounded."""
-
-    # Keys are arbitrary state sets, up to 2^(n+m) of them.  On
-    # porcupine(3)/porcupine_trimmed(3) with biint a table reaches
-    # 58,880 keys (12 MB for both); this cap holds them near 4 MB at
-    # no measurable cost in time.
-    CAP = 1 << 14
-
-    def __init__(self, compute):
-        super().__init__()
-        self._compute = compute
-
-    def __missing__(self, key: int) -> int:
-        if len(self) >= self.CAP:
-            self.clear()
-        value = self[key] = self._compute(key)
-        return value
-
-
-def _closure(generators: list[int], unary: list, arrows: list) -> list[int]:
-    """The least set of masks holding the generators and closed under &
-    and | and the given _Kernel connectives.  Each admitted mask meets
-    every one admitted no later than itself, both ways round for the
-    arrows, so every pair is combined exactly once.  The set can be
-    exponentially large; close_algebra needs all of it, while the
-    exact oracle only needs the preorder it induces and computes that
-    directly."""
-    members = list(dict.fromkeys(generators))
-    complements = [~x for x in members]
-    seen = set(members)
-    tables = [_Table(arrow) for arrow in arrows]
-    k = 0
-    while k < len(members):
-        a, not_a = members[k], complements[k]
-        k += 1
-        done = members[:k]
-        fresh = {op(a) for op in unary}
-        fresh.update([a & x for x in done])
-        fresh.update([a | x for x in done])
-        not_done = complements[:k]
-        for table in tables:
-            fresh.update([table[a & not_x] for not_x in not_done])
-            fresh.update([table[x & not_a] for x in done])
-        fresh -= seen
-        seen |= fresh
-        members.extend(fresh)
-        complements.extend([~x for x in fresh])
-    return members
 
 
 def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
@@ -373,10 +381,19 @@ def semantic_operator(kind: str, m: Model, a: frozenset,
                       b: frozenset | None = None) -> frozenset:
     """Apply one set-level connective.  Kinds: "arrow" and "coarrow"
     are binary; "boxbar_i" and "diabar_j" are unary with the relation
-    index (at least 1) baked into the name.  Arguments must be upsets,
-    since the operators are only meaningful on the upset lattice."""
-    for arg in (a, b):
-        if arg is not None and not rel.is_upset(m.leq, frozenset(arg)):
+    index (at least 1) baked into the name.  Arguments must be sets of
+    m's states, else ModelFormatError names the first unknown one, and
+    upsets, since the operators are only meaningful on the upset
+    lattice."""
+    args = [frozenset(arg) for arg in (a, b) if arg is not None]
+    for arg in args:
+        unknown = arg - m.state_set
+        if unknown:
+            raise ModelFormatError(
+                f"semantic operator argument mentions unknown state "
+                f"{sorted(unknown)[0]!r}")
+    for arg in args:
+        if not rel.is_upset(m.leq, arg):
             raise PreconditionError(
                 f"semantic operator arguments must be upsets; "
                 f"{sorted(arg)} is not upward closed")

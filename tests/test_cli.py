@@ -308,6 +308,16 @@ def test_closure_verb(capsys, wedge_path):
     assert data["algebra"] == [[], ["z"], ["x", "y", "z"]]
 
 
+def test_closure_refuses_families_past_the_cap(capsys, tmp_path):
+    path = tmp_path / "spines6.json"
+    path.write_text(model_to_json(build_example("spines", (6,))))
+    singletons = json.dumps([[x] for x in build_example(
+        "spines", (6,)).states[:17]])
+    assert_one_line_error(
+        capsys, ["closure", "--model", str(path), "--generators", singletons],
+        "more than 50000 sets")
+
+
 def test_closure_rejects_unknown_ops(capsys, wedge_path):
     for op in ("bogus", "boxbar_0"):
         assert_one_line_error(

@@ -3,8 +3,8 @@
 import pytest
 
 import kripkit as kk
-from kripkit import Fragment, Model, build_example
-from kripkit.errors import FlavorError, ModelFormatError
+from kripkit import Fragment, Model, build_example, genframe
+from kripkit.errors import FlavorError, ModelFormatError, PreconditionError
 from kripkit.genframe import (SetAlgebra, algebra_from_lists, close_algebra,
                               descriptive_box_check, is_general_model)
 
@@ -38,6 +38,18 @@ def test_closure_rejects_unknown_ops():
         close_algebra(WEDGE, [], ["squiggle"])
     with pytest.raises(ValueError):
         close_algebra(WEDGE, [], ["boxbar_"])
+
+
+def test_closure_refuses_families_past_the_cap(monkeypatch):
+    # spines have a discrete order, so n singletons close to 2^n + 1 sets
+    spines = build_example("spines", (6,))
+    singletons = [{x} for x in spines.states[:17]]
+    with pytest.raises(PreconditionError, match="more than 50000 sets"):
+        close_algebra(spines, singletons, [])
+    monkeypatch.setattr(genframe, "MAX_ALGEBRA_SIZE", 2 ** 4 + 1)
+    assert len(close_algebra(spines, singletons[:4], [])) == 17
+    with pytest.raises(PreconditionError, match="more than 17 sets"):
+        close_algebra(spines, singletons[:5], [])
 
 
 def test_is_general_model():
@@ -84,6 +96,11 @@ def test_descriptive_box_check():
                           [strict.valuation["p"], strict.valuation["q"]],
                           ["arrow", "boxbar_1"])
     assert descriptive_box_check(strict, alg_s) == (True, None)
+
+
+def test_descriptive_check_rejects_states_outside_the_model():
+    with pytest.raises(ModelFormatError, match="'nope'"):
+        descriptive_box_check(WEDGE, SetAlgebra([{"nope"}]))
 
 
 def test_algebra_round_trip_and_equality():

@@ -7,14 +7,18 @@ kripkit's oracle must return the same relation and the same exact
 flag on every input and budget.
 
 closure_oracle is the exact oracle the preorder refinement replaced:
-it lists every definable mask with semantics._closure.  It is faster
-than the heap, so it checks the exact oracle on more and larger pairs.
+it lists every definable mask with _closure, a verbatim copy of the
+mask closure the oracle and close_algebra used before they moved to
+the preorder.  It is faster than the heap, so it checks the exact
+oracle on more and larger pairs; reference_close_algebra checks
+close_algebra with it.
 Pairs too large for either reference are checked against the
 bisimulation fixpoint, which the exact oracle equals wherever the
 Hennessy-Milner property holds.
 """
 
 import heapq
+import itertools
 import random
 
 import pytest
@@ -24,9 +28,10 @@ from kripkit import distinguish
 from kripkit import relations as rel
 from kripkit import semantics
 from kripkit.bisim import conditions_for, greatest_bisimulation
-from kripkit.genframe import close_algebra
+from kripkit.distinguish import _Table
+from kripkit.genframe import SetAlgebra, close_algebra
 from kripkit.model import Model
-from kripkit.sampling import random_model
+from kripkit.sampling import random_model, random_upset
 
 _EMPTY = frozenset()
 
@@ -177,6 +182,37 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
     return frozenset(pairs), exact
 
 
+def _closure(generators: list[int], unary: list, arrows: list) -> list[int]:
+    """The least set of masks holding the generators and closed under &
+    and | and the given _Kernel connectives.  Each admitted mask meets
+    every one admitted no later than itself, both ways round for the
+    arrows, so every pair is combined exactly once.  The set can be
+    exponentially large; close_algebra needs all of it, while the
+    exact oracle only needs the preorder it induces and computes that
+    directly."""
+    members = list(dict.fromkeys(generators))
+    complements = [~x for x in members]
+    seen = set(members)
+    tables = [_Table(arrow) for arrow in arrows]
+    k = 0
+    while k < len(members):
+        a, not_a = members[k], complements[k]
+        k += 1
+        done = members[:k]
+        fresh = {op(a) for op in unary}
+        fresh.update([a & x for x in done])
+        fresh.update([a | x for x in done])
+        not_done = complements[:k]
+        for table in tables:
+            fresh.update([table[a & not_x] for not_x in not_done])
+            fresh.update([table[x & not_a] for x in done])
+        fresh -= seen
+        seen |= fresh
+        members.extend(fresh)
+        complements.extend([~x for x in fresh])
+    return members
+
+
 def closure_oracle(m: Model, m2: Model, frag: Fragment):
     """The exact oracle as it was before the preorder refinement, with
     its budget branch left out and the connectives listed up front."""
@@ -189,7 +225,7 @@ def closure_oracle(m: Model, m2: Model, frag: Fragment):
         semantics._mask(m, m.valuation.get(a, _EMPTY))
         | semantics._mask(m2, m2.valuation.get(a, _EMPTY)) << kernel.offsets[1]
         for a in atoms]
-    closed, exact = semantics._closure(generators, unary, arrows), True
+    closed, exact = _closure(generators, unary, arrows), True
 
     def profile(bit: int) -> tuple[int, ...]:
         return tuple(sig >> bit & 1 for sig in closed)
@@ -251,27 +287,23 @@ def test_oracle_matches_reference_on_the_gallery(pair):
 
 def test_oracle_matches_reference_when_its_tables_overflow(monkeypatch):
     # a tiny cap makes the connective tables empty themselves often
-    monkeypatch.setattr(semantics._Table, "CAP", 3)
+    monkeypatch.setattr(distinguish._Table, "CAP", 3)
     for name, params, name2, params2, frag in GALLERY:
         m, m2 = build_example(name, params), build_example(name2, params2)
         assert_same_as_reference(m, m2, frag)
     seen = []
-    real_missing = semantics._Table.__missing__
+    real_missing = distinguish._Table.__missing__
 
     def watched(table, key):
         value = real_missing(table, key)
         seen.append(len(table))
         return value
 
-    monkeypatch.setattr(semantics._Table, "__missing__", watched)
-    # the exact oracle keeps no table; a budgeted run and close_algebra do
+    monkeypatch.setattr(distinguish._Table, "__missing__", watched)
+    # the exact oracle and close_algebra keep no table; a budgeted run does
     m, m2 = build_example("porcupine", (2,)), build_example(
         "porcupine_trimmed", (2,))
     distinguish.bounded_equivalence_oracle(m, m2, Fragment("biint", 0, 0), 20)
-    assert seen and max(seen) <= 3
-    seen.clear()
-    close_algebra(m, [m.valuation[a] for a in sorted(m.valuation)],
-                  ["arrow", "coarrow"])
     assert seen and max(seen) <= 3
 
 
@@ -358,3 +390,75 @@ def test_exact_oracle_is_the_fixpoint_on_large_gallery_pairs(pair):
             left, right, conditions_for(frag, left.flavor))
         got = distinguish.bounded_equivalence_oracle(left, right, frag)
         assert got == (fixpoint, True)
+
+
+def reference_close_algebra(m: Model, generators, ops) -> SetAlgebra:
+    """close_algebra as it was before the preorder refinement, on
+    valid input: the mask closure of the generators, 0 and the
+    carrier under the named operators."""
+    kernel = semantics._Kernel([m])
+    entries = [semantics._operator(op) for op in ops]
+    unary = [kernel.connective(*e) for e in entries if e[1] is not None]
+    arrows = [kernel.connective(*e) for e in entries if e[1] is None]
+    masks = [0, (1 << len(m.states)) - 1]
+    masks += [semantics._mask(m, g) for g in generators]
+    members = _closure(masks, unary, arrows)
+    return SetAlgebra(frozenset(m.states[i] for i in rel._bits(a))
+                      for a in members)
+
+
+def interpreted_ops(m: Model) -> list[str]:
+    """Every operator name the model can interpret."""
+    bars = len(m.boxes) if m.flavor in ("standard", "ek") else 1
+    dias = {"standard": len(m.diamonds), "ek": 0}.get(m.flavor, 1)
+    return (["arrow", "coarrow"]
+            + [f"boxbar_{i}" for i in range(1, bars + 1)]
+            + [f"diabar_{j}" for j in range(1, dias + 1)])
+
+
+def assert_close_algebra_matches_closure(m, generators):
+    ops = interpreted_ops(m)
+    for r in range(len(ops) + 1):
+        for subset in itertools.combinations(ops, r):
+            want = reference_close_algebra(m, generators, subset)
+            assert close_algebra(m, generators, subset) == want, (m, subset)
+
+
+ALGEBRA_GALLERY = [("porcupine", (3,)), ("porcupine_trimmed", (3,)),
+                   ("spines", (5,)), ("omega_chain", (8,))]
+
+
+@pytest.mark.parametrize("example", ALGEBRA_GALLERY,
+                         ids=[f"{n}{p[0]}" for n, p in ALGEBRA_GALLERY])
+def test_close_algebra_matches_closure_on_the_gallery(example):
+    m = build_example(*example)
+    assert_close_algebra_matches_closure(
+        m, [xs for _, xs in sorted(m.valuation.items())])
+
+
+ALGEBRA_ROWS = [
+    ("standard", dict(n_boxes=2, n_diamonds=1)),
+    ("fs", dict()),
+    ("gpt", dict()),
+    ("tense", dict()),
+    ("h", dict()),
+    ("ek", dict(n_boxes=2)),
+]
+
+
+@pytest.mark.parametrize("row", ALGEBRA_ROWS,
+                         ids=[row[0] for row in ALGEBRA_ROWS])
+def test_close_algebra_matches_closure_on_random_models(row):
+    flavor, kw = row
+    for i in range(10):
+        rng = random.Random(90_000 + i)
+        m = random_model(rng, flavor, n_states=6, strict=i % 2 == 0, **kw)
+        generators = [xs for _, xs in sorted(m.valuation.items())]
+        generators.append(random_upset(rng, m.leq, m.states))
+        assert_close_algebra_matches_closure(m, generators)
+
+
+def test_close_algebra_on_porcupine_5():
+    m = build_example("porcupine", (5,))
+    generators = [xs for _, xs in sorted(m.valuation.items())]
+    assert len(close_algebra(m, generators, ["arrow", "coarrow"])) == 5041

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import kripkit as kk
 import kripkit.relations as rel
 from kripkit import Model, build_example, parse, semantics
-from kripkit.errors import FlavorError, PreconditionError
+from kripkit.errors import FlavorError, ModelFormatError, PreconditionError
 from kripkit.sampling import random_formula, random_model
 from kripkit.semantics import (back_box_relation, back_dia_relation,
                                box_relation, ck_relation, dia_relation,
@@ -174,6 +174,17 @@ def test_semantic_operator_errors():
         semantic_operator("squiggle", WEDGE, a)
     with pytest.raises(PreconditionError):
         semantic_operator("boxbar_1", WEDGE, frozenset({"y"}))
+
+
+def test_semantic_operator_rejects_states_outside_the_model():
+    a = truth_set(parse("p"), WEDGE)
+    with pytest.raises(ModelFormatError, match="unknown state 'nope'"):
+        semantic_operator("boxbar_1", WEDGE, {"nope"})
+    with pytest.raises(ModelFormatError, match="unknown state 'b'"):
+        semantic_operator("arrow", WEDGE, a, {"z", "b", "c"})
+    # unknown states are named before a non-upset argument
+    with pytest.raises(ModelFormatError, match="unknown state 'nope'"):
+        semantic_operator("coarrow", WEDGE, {"y"}, {"nope"})
 
 
 FLAVOR_FRAGMENTS = [
