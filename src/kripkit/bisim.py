@@ -152,25 +152,28 @@ class Task:
 def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
     """Instantiate the clause set against a concrete pair of models,
     in the fixed clause order."""
-    return [Task(*fields) for fields in _resolved(conditions, m, m2)]
+    return [Task(clause, direction, semantics._successors(m, shape, index),
+                 semantics._successors(m2, shape, index), shape, index)
+            for clause, direction, shape, index
+            in _resolved(conditions, m, m2)]
 
 
 def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
-    """resolved_tasks as plain tuples in Task's field order, which is
-    all the refinement reads."""
+    """The clauses of resolved_tasks as (clause, direction, shape,
+    index), which is all the refinement reads: it takes the successor
+    masks of each shape from the table, so no map is decoded here."""
     if m.flavor != m2.flavor:
         raise PreconditionError(
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
     tasks: list[tuple] = []
 
     def add(clause, direction, shape, index=None):
-        tasks.append((clause, direction,
-                      semantics._successors(m, shape, index),
-                      semantics._successors(m2, shape, index), shape, index))
+        tasks.append((clause, direction, shape, index))
 
     def add_modal(shape, index, which):
         for model in (m, m2):
-            count = len(model.boxes if which == "box" else model.diamonds)
+            count = len(model._box_rows if which == "box"
+                        else model._dia_rows)
             if not 1 <= index <= count:
                 raise FlavorError(
                     f"clause needs {which} relation {index} but the model "
@@ -239,7 +242,7 @@ class _Kernel:
 
     def check(self, k: int) -> tuple:
         """The compiled form of clauses[k]."""
-        clause, direction, _, _, shape, index = self.clauses[k]
+        clause, direction, shape, index = self.clauses[k]
         left, right = (semantics._succ_masks(model, shape, index)
                        for model in self.models)
         if direction == "zig":
@@ -322,7 +325,7 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
             raise PreconditionError(
                 f"pair ({x}, {x2}) is not in the models' carriers")
     kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
-    index, index2 = semantics._index(m), semantics._index(m2)
+    index, index2 = m._index, m2._index
     for x, x2 in pairs:
         i, j = index[x], index2[x2]
         kernel.rows[i] |= 1 << j

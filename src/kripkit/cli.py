@@ -54,10 +54,11 @@ def _check_counts(frag: Fragment, *models: Model) -> None:
     flavor = models[0].flavor
     counts = []
     if flavor in (STANDARD, EK):
-        counts.append(("box", frag.n_boxes, [len(m.boxes) for m in models]))
+        counts.append(("box", frag.n_boxes,
+                       [len(m._box_rows) for m in models]))
     if flavor == STANDARD:
         counts.append(("dia", frag.m_diamonds,
-                       [len(m.diamonds) for m in models]))
+                       [len(m._dia_rows) for m in models]))
     for which, count, stored in counts:
         if count > min(stored):
             raise FlavorError(

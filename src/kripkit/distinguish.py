@@ -324,7 +324,7 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
         if index is None:
             arrows.append(op)
         else:
-            modal.append((op, semantics._reads_all(key)))
+            modal.append((op, semantics._MODAL[key]))
     atoms = sorted(set(m.valuation) | set(m2.valuation))
     n = len(m.states) + len(m2.states)
     full = (1 << n) - 1

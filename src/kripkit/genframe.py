@@ -90,7 +90,7 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
                 f"generator mentions unknown state {sorted(unknown)[0]!r}")
         family.add(g)
     kernel = semantics._Kernel([m])
-    modal = [(kernel.connective(key, index), semantics._reads_all(key))
+    modal = [(kernel.connective(key, index), semantics._MODAL[key])
              for key, index in entries if index is not None]
     arrows = [kernel.connective(*e) for e in entries if e[1] is None]
 

@@ -86,6 +86,13 @@ class Model:
     the JSON loader to close a generating set of order pairs into a
     preorder.  Frame conditions are never enforced here — validate()
     reports them, so broken models can be built and inspected.
+
+    The model holds its order and stored relations as bit rows over
+    the sorted states (see relations): state i is bit 1 << i, and row
+    i is the mask of state i's targets.  Evaluation reads only the
+    rows.  leq, boxes, diamonds and the maps derived from them are
+    views, decoded into frozensets the first time something reads
+    them, at one step per pair.
     """
 
     def __init__(self, states: Iterable[str],
@@ -102,36 +109,40 @@ class Model:
         if not all(isinstance(s, str) and s for s in states):
             raise ModelFormatError("state names must be nonempty strings")
         self.states: tuple[str, ...] = tuple(sorted(states))
-        known = frozenset(self.states)
+        index = self._index = {x: i for i, x in enumerate(self.states)}
 
-        def checked(pairs, what):
-            pairs = frozenset(map(tuple, pairs))
-            for a, b in pairs:
-                if a not in known or b not in known:
+        def rows(pairs, what) -> list[int]:
+            out = [0] * len(index)
+            for a, b in map(tuple, pairs):
+                try:
+                    out[index[a]] |= 1 << index[b]
+                except KeyError:
                     raise ModelFormatError(
-                        f"{what} mentions unknown state in ({a}, {b})")
-            return pairs
+                        f"{what} mentions unknown state in ({a}, {b})") \
+                        from None
+            return out
 
-        self.leq: frozenset[tuple[str, str]] = checked(leq, "leq")
-        self.boxes: tuple[frozenset, ...] = tuple(
-            checked(r, f"box relation {i}") for i, r in enumerate(boxes, 1))
-        self.diamonds: tuple[frozenset, ...] = tuple(
-            checked(s, f"diamond relation {j}")
+        self._leq_rows = rows(leq, "leq")
+        self._box_rows = tuple(
+            rows(r, f"box relation {i}") for i, r in enumerate(boxes, 1))
+        self._dia_rows = tuple(
+            rows(s, f"diamond relation {j}")
             for j, s in enumerate(diamonds, 1))
 
         if flavor not in FLAVORS:
             raise ModelFormatError(f"unknown flavor {flavor!r}")
         want_boxes, want_diamonds = _SHAPES[flavor]
-        if want_boxes is not None and len(self.boxes) != want_boxes:
+        n_boxes, n_diamonds = len(self._box_rows), len(self._dia_rows)
+        if want_boxes is not None and n_boxes != want_boxes:
             raise ModelFormatError(
                 f"flavor {flavor!r} stores exactly {want_boxes} box "
-                f"relation(s), got {len(self.boxes)}")
-        if flavor == EK and not self.boxes:
+                f"relation(s), got {n_boxes}")
+        if flavor == EK and not n_boxes:
             raise ModelFormatError("flavor 'ek' needs at least one relation")
-        if want_diamonds is not None and len(self.diamonds) != want_diamonds:
+        if want_diamonds is not None and n_diamonds != want_diamonds:
             raise ModelFormatError(
                 f"flavor {flavor!r} stores exactly {want_diamonds} diamond "
-                f"relation(s), got {len(self.diamonds)}")
+                f"relation(s), got {n_diamonds}")
         self.flavor = flavor
 
         self.valuation: dict[str, frozenset[str]] = {}
@@ -140,14 +151,14 @@ class Model:
                 raise ModelFormatError(
                     f"atom name {atom!r} is not a lowercase identifier")
             xs = frozenset(valuation[atom])
-            unknown = xs - known
+            unknown = xs - self.state_set
             if unknown:
                 raise ModelFormatError(
                     f"valuation of {atom} mentions unknown state "
                     f"{sorted(unknown)[0]!r}")
             self.valuation[atom] = xs
         self._eval_cache: dict = {}
-        self._succ_table: dict = {}  # see semantics._successors
+        self._succ_table: dict = {}  # see semantics._succ_masks
         self._validation: ValidationReport | None = None
 
     @classmethod
@@ -158,12 +169,27 @@ class Model:
              valuation: Mapping[str, Iterable[str]] | None = None,
              flavor: str = STANDARD) -> "Model":
         """Build a model from order generators: leq_gen is closed
-        reflexively and transitively over the carrier."""
-        states = list(states)
-        closed = rel.preorder_closure([tuple(p) for p in leq_gen], states)
-        return cls(states, closed, boxes, diamonds, valuation, flavor)
+        reflexively and transitively over the carrier, on the rows."""
+        m = cls(states, leq_gen, boxes, diamonds, valuation, flavor)
+        rows = m._leq_rows
+        rel._close_rows(rows, rel._transpose(rows))
+        for i in range(len(rows)):
+            rows[i] |= 1 << i
+        return m
 
     # -- derived views ---------------------------------------------------
+
+    @cached_property
+    def leq(self) -> frozenset[tuple[str, str]]:
+        return _pair_view(self.states, self._leq_rows)
+
+    @cached_property
+    def boxes(self) -> tuple[frozenset, ...]:
+        return tuple(_pair_view(self.states, r) for r in self._box_rows)
+
+    @cached_property
+    def diamonds(self) -> tuple[frozenset, ...]:
+        return tuple(_pair_view(self.states, s) for s in self._dia_rows)
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -179,33 +205,44 @@ class Model:
 
     @cached_property
     def up_map(self) -> dict[str, frozenset[str]]:
-        succ = rel.successors(self.leq)
-        return {x: frozenset(succ.get(x, ())) for x in self.states}
+        return _map_view(self.states, self._leq_rows)
 
     @cached_property
     def down_map(self) -> dict[str, frozenset[str]]:
-        pred = rel.successors(self.geq)
-        return {x: frozenset(pred.get(x, ())) for x in self.states}
+        return _map_view(self.states, rel._transpose(self._leq_rows))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Model):
             return NotImplemented
-        return (self.states == other.states and self.leq == other.leq
-                and self.boxes == other.boxes
-                and self.diamonds == other.diamonds
+        # equal states number alike, so equal relations have equal rows
+        return (self.states == other.states
+                and self._leq_rows == other._leq_rows
+                and self._box_rows == other._box_rows
+                and self._dia_rows == other._dia_rows
                 and self.valuation == other.valuation
                 and self.flavor == other.flavor)
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return (f"Model({len(self.states)} states, {len(self.boxes)} boxes, "
-                f"{len(self.diamonds)} diamonds, flavor={self.flavor!r})")
+        return (f"Model({len(self.states)} states, {len(self._box_rows)} "
+                f"boxes, {len(self._dia_rows)} diamonds, "
+                f"flavor={self.flavor!r})")
 
     def validate(self) -> ValidationReport:
         if self._validation is None:
             self._validation = _validate(self)
         return self._validation
+
+
+def _pair_view(states: tuple[str, ...], rows: list[int]) -> frozenset:
+    return frozenset(rel._row_pairs(zip(states, rows), states))
+
+
+def _map_view(states: tuple[str, ...],
+              rows: list[int]) -> dict[str, frozenset[str]]:
+    return {x: frozenset(rel._names(states, row))
+            for x, row in zip(states, rows)}
 
 
 class Partition:
@@ -564,15 +601,14 @@ _MODEL_KEYS = {"states", "leq_gen", "boxes", "diamonds", "valuation", "flavor"}
 
 
 def _pairs(value, what):
+    """value, checked to be a list of [from, to] pairs of strings."""
     if not isinstance(value, list):
         raise ModelFormatError(f"{what} must be a list of pairs")
-    out = []
     for item in value:
         if not (isinstance(item, list) and len(item) == 2
                 and isinstance(item[0], str) and isinstance(item[1], str)):
             raise ModelFormatError(f"{what} must contain [from, to] pairs")
-        out.append((item[0], item[1]))
-    return out
+    return value
 
 
 def model_from_dict(data) -> Model:
@@ -612,11 +648,17 @@ def model_from_dict(data) -> Model:
 
 
 def model_to_dict(m: Model) -> dict:
+    states = m.states
+
+    def pairs(rows):  # in sorted order, since the states are
+        return [[a, b] for a, row in zip(states, rows)
+                for b in rel._names(states, row)]
+
     return {
         "states": list(m.states),
-        "leq_gen": [list(p) for p in sorted(m.leq)],
-        "boxes": [[list(p) for p in sorted(r)] for r in m.boxes],
-        "diamonds": [[list(p) for p in sorted(s)] for s in m.diamonds],
+        "leq_gen": pairs(m._leq_rows),
+        "boxes": [pairs(r) for r in m._box_rows],
+        "diamonds": [pairs(s) for s in m._dia_rows],
         "valuation": {atom: sorted(xs) for atom, xs in m.valuation.items()},
         "flavor": m.flavor,
     }

@@ -6,16 +6,24 @@ compose(r, s) when some u has x r u and u s y.  All the frame
 conditions in this package are phrased with that convention, so keep
 it in mind when reading inclusions like compose(leq, r) <= compose(r, leq).
 
-compose and transitive_closure work on bit rows inside: they number
-the states as they meet them and keep each source's targets as one
-integer mask, so a path of length two costs one | on a word instead
-of one set insertion.  Frozensets of pairs appear only at the
-boundary, when a result is returned.
+The kernel underneath is bit rows: states numbered 0..n-1, and a
+relation held as a list whose entry i is the mask of state i's
+targets, so a path of length two costs one | on a word instead of one
+set insertion.  A Model keeps its order and stored relations this way
+(numbered in sorted state order), and semantics derives every
+effective relation from those rows with _compose_rows, _transpose and
+_close_rows.  compose and transitive_closure number the states as they
+meet them and run on the same kind of rows.  Frozensets of pairs
+appear only at the boundary, when a result is returned: _row_pairs
+walks each row's set bits, one step per pair, and _names reads a mask
+into state names, bit by bit when it is sparse and off its binary
+digits otherwise.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Iterable, Iterator, Sequence
 
 Pair = tuple[str, str]
 Relation = frozenset[Pair]
@@ -45,12 +53,71 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+# bin() digits of a mask, low bit first, as flags compress can read
+_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _names(names: Sequence[str], mask: int) -> Iterable[str]:
+    """names[k] for every bit k of mask, lowest first.  A sparse mask
+    is taken apart bit by bit, at a cost per bit that grows with the
+    mask's length; a denser one is read off its binary digits in one
+    pass, at a cost that grows with its length alone."""
+    if mask.bit_count() * 64 < mask.bit_length() + 256:
+        out = []
+        while mask:
+            top = mask.bit_length() - 1
+            out.append(names[top])
+            mask ^= 1 << top
+        out.reverse()
+        return out
+    return compress(names, format(mask, "b")[::-1].encode().translate(_FLAGS))
+
+
 def _row_pairs(rows: Iterable[tuple[str, int]],
-               names: list[str]) -> Iterator[Pair]:
+               names: Sequence[str]) -> Iterator[Pair]:
     """The pairs of bit rows: (a, names[k]) for every bit k of a's row."""
     for a, row in rows:
         for k in _bits(row):
             yield a, names[k]
+
+
+def _compose_rows(r: list[int], s: list[int]) -> list[int]:
+    """Rows of the composition, first r then s, over one numbering."""
+    out = []
+    for row in r:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= s[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Rows of the converse: bit i of entry j where rows[i] has bit j."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            out[j] |= bit
+    return out
+
+
+def _close_rows(rows: list[int], cols: list[int]) -> None:
+    """Close rows transitively in place, by Warshall's algorithm ("A
+    theorem on Boolean matrices", J. ACM 1962): for each state k in
+    turn, every state that reaches k takes in the targets of k.  cols
+    must be the transpose of rows and is kept in step, so that state k
+    visits only the rows that reach it and a sparse relation costs far
+    less than n^2 steps."""
+    for k in range(len(rows)):
+        row_k, col_k = rows[k], cols[k]
+        if row_k and col_k:
+            for i in _bits(col_k):
+                rows[i] |= row_k
+            for j in _bits(row_k):
+                cols[j] |= col_k
 
 
 def compose(r: Iterable[Pair], s: Iterable[Pair]) -> Relation:
@@ -83,34 +150,22 @@ def transitive_closure(rels: Iterable[Iterable[Pair]],
     By default this is the positive closure (paths of one or more
     steps).  With reflexive=True the identity on `states` is added;
     the carrier must then be given explicitly because the union alone
-    does not determine it.  The union is closed by Warshall's
-    algorithm on bit rows ("A theorem on Boolean matrices", J. ACM
-    1962): for each state k in turn, every state that reaches k takes
-    in the targets of k.
+    does not determine it.  The union is closed on bit rows by
+    _close_rows.
     """
     if reflexive and states is None:
         raise ValueError("reflexive closure needs an explicit carrier")
     number: dict[str, int] = {}  # each state's bit, given on first meeting
-    rows: dict[int, int] = {}  # i -> mask of the targets of state i
-    cols: dict[int, int] = {}  # j -> mask of the sources of state j
+    targets: dict[int, int] = {}  # i -> mask of the targets of state i
     for r in rels:
         for a, b in r:
             i = number.setdefault(a, len(number))
             j = number.setdefault(b, len(number))
-            rows[i] = rows.get(i, 0) | 1 << j
-            cols[j] = cols.get(j, 0) | 1 << i
-    # Keeping the columns too lets state k visit only the rows that
-    # reach it, so a sparse union costs far less than n^2 steps.
-    for k in range(len(number)):
-        row_k, col_k = rows.get(k), cols.get(k)
-        if row_k and col_k:
-            for i in _bits(col_k):
-                rows[i] |= row_k
-            for j in _bits(row_k):
-                cols[j] |= col_k
+            targets[i] = targets.get(i, 0) | 1 << j
+    rows = [targets.get(i, 0) for i in range(len(number))]
+    _close_rows(rows, _transpose(rows))
     names = list(number)
-    closed = _row_pairs(((names[i], row) for i, row in rows.items()),
-                        names)
+    closed = _row_pairs(zip(names, rows), names)
     if not reflexive:
         return frozenset(closed)
     return frozenset((*closed, *((s, s) for s in states)))

@@ -25,15 +25,27 @@ positive transitive closure of the union; pass ck_reflexive=True for
 the reflexive variant).
 
 Each model keeps one successor table, built entry by entry on first
-request: an operator class keys the effective relation above, so that
-choice is made here only, and a bisim clause shape keys the stored
-relation that clause reads.  The table numbers the states and holds
-each entry as bit masks too, which the refinement reads; _Kernel lays
-several models' masks side by side, and _definable_preorder computes
-the least family of masks closed under its connectives as the
-preorder that family is the upsets of.  The exact oracle and
-close_algebra both build their families that way.  Truth sets are
-cached on the model as well, so repeated evaluation stays cheap.
+request from the model's bit rows (see model and relations): an
+operator class keys the effective relation above, so that choice is
+made here only, and a bisim clause shape keys the stored relation
+that clause reads.  Every entry is a list of successor masks, one per
+state.  A stored relation's entry is the model's own rows, at no cost;
+a converse is a transpose, one step per pair; a composition ORs one
+row per pair of its left factor; and C's closure is Warshall's on the
+union of the rows.  truth_set, semantic_operator, the refinement, the
+oracle and close_algebra all read these masks.  Frozensets appear only
+where the public API returns them: the relation readers below and
+_successors decode an entry once per call (readers) or per model
+(_successors), at one step per pair, and truth_set decodes one mask
+per node it evaluates.
+
+_Kernel lays several models' masks side by side, and
+_definable_preorder computes the least family of masks closed under
+its connectives as the preorder that family is the upsets of.  The
+exact oracle and close_algebra both build their families that way.
+Truth sets are cached on the model as well, with their masks, so
+repeated evaluation stays cheap; a miss empties the cache first once
+it holds MAX_EVAL_CACHE entries.
 """
 
 from __future__ import annotations
@@ -47,149 +59,171 @@ from . import relations as rel
 from .errors import FlavorError, ModelFormatError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
                       Or, Sub, TBox, TDia, Top)
-from .model import EK, FS, GPT, H, STANDARD, TENSE, Model
+from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, _map_view,
+                    _pair_view)
+
+
+# Entries in a model's evaluation cache at which the next miss empties
+# it.  A parent reads each child's mask right after the child's call
+# returns, so emptying the cache between two calls loses nothing that
+# an evaluation still needs.
+MAX_EVAL_CACHE = 1 << 16
+
+_EMPTY = frozenset()
 
 
 def left_converse(r: frozenset, m: Model) -> frozenset:
     """≥ ∘ r ∘ ≥ : the derived diamond relation of single-relation
-    bi-intuitionistic models."""
-    return rel.compose_all(m.geq, r, m.geq)
+    bi-intuitionistic models.  Pairs of r with a state outside m have
+    no part in it."""
+    index = m._index
+    rows = [0] * len(index)
+    for a, b in r:
+        if a in index and b in index:
+            rows[index[a]] |= 1 << index[b]
+    return _pair_view(m.states, _left_converse(m, rows))
 
 
-def _stored_box(m: Model, index: int) -> frozenset:
-    if not 1 <= index <= len(m.boxes):
+def _left_converse(m: Model, rows: list[int]) -> list[int]:
+    geq = _succ_masks(m, "sub")
+    return rel._compose_rows(rel._compose_rows(geq, rows), geq)
+
+
+def _stored_box(m: Model, index: int) -> list[int]:
+    if not 1 <= index <= len(m._box_rows):
         raise FlavorError(
             f"model has no box relation {index} (flavor {m.flavor!r} "
-            f"stores {len(m.boxes)})")
-    return m.boxes[index - 1]
+            f"stores {len(m._box_rows)})")
+    return m._box_rows[index - 1]
 
 
-def _stored_dia(m: Model, index: int) -> frozenset:
-    if not 1 <= index <= len(m.diamonds):
+def _stored_dia(m: Model, index: int) -> list[int]:
+    if not 1 <= index <= len(m._dia_rows):
         raise FlavorError(
             f"model has no diamond relation {index} (flavor {m.flavor!r} "
-            f"stores {len(m.diamonds)})")
-    return m.diamonds[index - 1]
+            f"stores {len(m._dia_rows)})")
+    return m._dia_rows[index - 1]
 
 
-def box_relation(m: Model, index: int) -> frozenset:
-    """Effective relation whose universal image interprets []index."""
+def _box(m: Model, index: int) -> list[int]:
     if m.flavor in (STANDARD, TENSE, H, EK):
         return _stored_box(m, index)
     if m.flavor in (FS, GPT):
-        return rel.compose(m.leq, _stored_box(m, index))
+        return rel._compose_rows(m._leq_rows, _stored_box(m, index))
     raise FlavorError(f"flavor {m.flavor!r} does not interpret []")
 
 
-def dia_relation(m: Model, index: int) -> frozenset:
-    """Effective relation whose existential image interprets <>index."""
+def _dia(m: Model, index: int) -> list[int]:
     if m.flavor in (STANDARD, GPT, TENSE):
         return _stored_dia(m, index)
     if m.flavor == FS:
         return _stored_box(m, index)
     if m.flavor == H:
-        return left_converse(_stored_box(m, index), m)
+        return _left_converse(m, _stored_box(m, index))
     raise FlavorError(f"flavor {m.flavor!r} does not interpret <>")
+
+
+def _back_dia(m: Model, index: int) -> list[int]:
+    if m.flavor in (GPT, TENSE, H):
+        return _succ_masks(m, "tdia", index)
+    raise FlavorError(f"flavor {m.flavor!r} does not interpret <|")
+
+
+def _back_box(m: Model, index: int) -> list[int]:
+    if m.flavor == TENSE:
+        return _succ_masks(m, "tbox", index)
+    if m.flavor == GPT:
+        return rel._compose_rows(m._leq_rows, _succ_masks(m, "tbox", index))
+    if m.flavor == H:
+        return rel._compose_rows(
+            rel._compose_rows(m._leq_rows, _succ_masks(m, "tdia", index)),
+            m._leq_rows)
+    raise FlavorError(f"flavor {m.flavor!r} does not interpret |>")
+
+
+def _ck(m: Model, reflexive: bool) -> list[int]:
+    if m.flavor != EK:
+        raise FlavorError(f"flavor {m.flavor!r} does not interpret C")
+    rows = [reduce(or_, column) for column in zip(*m._box_rows)]
+    rel._close_rows(rows, rel._transpose(rows))
+    if reflexive:
+        rows = [row | 1 << i for i, row in enumerate(rows)]
+    return rows
+
+
+# How each table key builds its entry from a model and an index: the
+# operator classes their effective relations, the clause shapes their
+# stored ones.
+_ENTRIES = {Box: _box, Dia: _dia, TDia: _back_dia, TBox: _back_box, Ck: _ck,
+            "imp": lambda m, _: m._leq_rows,
+            "sub": lambda m, _: rel._transpose(m._leq_rows),
+            "box": _stored_box, "dia": _stored_dia,
+            "tdia": lambda m, i: rel._transpose(_stored_box(m, i)),
+            "tbox": lambda m, i: rel._transpose(_stored_dia(m, i))}
+
+# Each modal operator's clause: whether it reads all successors, like
+# a box, and so preserves intersections; the others read some
+# successor and preserve unions.
+_MODAL = {Box: True, Dia: False, TDia: False, TBox: True, Ck: True}
+
+
+def _succ_masks(m: Model, key, index=None) -> list[int]:
+    """Table entry (key, index) as successor masks, one per state: the
+    effective relation of operator key (a key of _MODAL), with
+    ck_reflexive for index on Ck, or the stored one of clause shape key.
+    Built once per model; a FlavorError is raised on every request the
+    model cannot interpret."""
+    masks = m._succ_table.get((key, index))
+    if masks is None:
+        masks = m._succ_table[key, index] = _ENTRIES[key](m, index)
+    return masks
+
+
+def _successors(m: Model, key, index=None) -> dict[str, frozenset]:
+    """Table entry (key, index) decoded to a successor map, total on
+    m's states, and kept in the table."""
+    succ = m._succ_table.get((key, index, frozenset))
+    if succ is None:
+        succ = m._succ_table[key, index, frozenset] = _map_view(
+            m.states, _succ_masks(m, key, index))
+    return succ
+
+
+def box_relation(m: Model, index: int) -> frozenset:
+    """Effective relation whose universal image interprets []index."""
+    return _pair_view(m.states, _succ_masks(m, Box, index))
+
+
+def dia_relation(m: Model, index: int) -> frozenset:
+    """Effective relation whose existential image interprets <>index."""
+    return _pair_view(m.states, _succ_masks(m, Dia, index))
 
 
 def back_dia_relation(m: Model, index: int) -> frozenset:
     """Effective relation for <|index, which looks backward along the
     box relation."""
-    if m.flavor in (GPT, TENSE, H):
-        return rel.converse(_stored_box(m, index))
-    raise FlavorError(f"flavor {m.flavor!r} does not interpret <|")
+    return _pair_view(m.states, _succ_masks(m, TDia, index))
 
 
 def back_box_relation(m: Model, index: int) -> frozenset:
     """Effective relation for |>index, which looks backward along the
     diamond relation."""
-    if m.flavor == TENSE:
-        return rel.converse(_stored_dia(m, index))
-    if m.flavor == GPT:
-        return rel.compose(m.leq, rel.converse(_stored_dia(m, index)))
-    if m.flavor == H:
-        return rel.compose_all(m.leq, rel.converse(_stored_box(m, index)),
-                               m.leq)
-    raise FlavorError(f"flavor {m.flavor!r} does not interpret |>")
+    return _pair_view(m.states, _succ_masks(m, TBox, index))
 
 
 def ck_relation(m: Model, reflexive: bool = False) -> frozenset:
     """Chains of knowledge steps: the transitive closure of the union
     of all knowledge relations, reflexive on demand."""
-    if m.flavor != EK:
-        raise FlavorError(f"flavor {m.flavor!r} does not interpret C")
-    return rel.transitive_closure(m.boxes, reflexive=reflexive,
-                                  states=m.states)
-
-
-def _forall(states, succ, a) -> frozenset:
-    return frozenset(x for x in states if succ[x] <= a)
-
-
-def _exists(states, succ, a) -> frozenset:
-    return frozenset(x for x in states if succ[x] & a)
-
-
-def _imp(m: Model, a, b) -> frozenset:
-    return frozenset(x for x in m.states if m.up_map[x] & a <= b)
-
-
-def _sub(m: Model, a, b) -> frozenset:
-    return frozenset(x for x in m.states if m.down_map[x] & a - b)
-
-
-# Each modal operator's effective relation, and its clause: all
-# successors (box-like) or some successor (diamond-like).
-_MODAL = {Box: (box_relation, _forall), Dia: (dia_relation, _exists),
-          TDia: (back_dia_relation, _exists),
-          TBox: (back_box_relation, _forall), Ck: (ck_relation, _forall)}
-
-# The stored relation each bisim clause shape reads.
-_STORED = {"imp": lambda m, _: m.leq, "sub": lambda m, _: m.geq,
-           "box": _stored_box, "dia": _stored_dia,
-           "tdia": lambda m, i: rel.converse(_stored_box(m, i)),
-           "tbox": lambda m, i: rel.converse(_stored_dia(m, i))}
-
-
-def _successors(m: Model, key, index=None) -> dict[str, frozenset]:
-    """Successor map, total on m's states, of table entry (key, index):
-    the effective relation of operator key (a key of _MODAL), with
-    ck_reflexive for index on Ck, or the stored one of clause shape key
-    (a key of _STORED).  Built once per model; a FlavorError is raised
-    on every request the model cannot interpret."""
-    succ = m._succ_table.get((key, index))
-    if succ is None:
-        relation = (_MODAL[key][0] if key in _MODAL else _STORED[key])
-        raw = rel.successors(relation(m, index))
-        succ = m._succ_table[key, index] = {x: frozenset(raw.get(x, ()))
-                                            for x in m.states}
-    return succ
-
-
-def _index(m: Model) -> dict[str, int]:
-    """m's states numbered in state order: state i is bit 1 << i."""
-    index = m._succ_table.get("index")
-    if index is None:
-        index = m._succ_table["index"] = {x: i for i, x in enumerate(m.states)}
-    return index
+    return _pair_view(m.states, _succ_masks(m, Ck, reflexive))
 
 
 def _mask(m: Model, xs) -> int:
-    index = _index(m)
+    """The states xs of m as a mask: state i is bit 1 << i."""
+    index = m._index
     out = 0
     for x in xs:
         out |= 1 << index[x]
     return out
-
-
-def _succ_masks(m: Model, key, index=None) -> list[int]:
-    """Table entry (key, index) as successor masks, one per state."""
-    masks = m._succ_table.get((key, index, int))
-    if masks is None:
-        succ = _successors(m, key, index)
-        masks = m._succ_table[key, index, int] = [_mask(m, succ[x])
-                                                  for x in m.states]
-    return masks
 
 
 def _bits_disjoint(masks: list[int], d: int) -> int:
@@ -210,13 +244,6 @@ def _bits_meeting(masks: list[int], d: int) -> int:
             out |= bit
         bit <<= 1
     return out
-
-
-def _reads_all(key) -> bool:
-    """Whether modal operator key (a key of _MODAL) reads all
-    successors, like a box, and so preserves intersections; the others
-    read some successor and preserve unions."""
-    return _MODAL[key][1] is _forall
 
 
 class _Kernel:
@@ -242,7 +269,7 @@ class _Kernel:
             return partial(_bits_disjoint, succ)
         if key == "sub":
             return partial(_bits_meeting, succ)
-        if _reads_all(key):
+        if _MODAL[key]:
             return lambda a: _bits_disjoint(succ, ~a)
         return partial(_bits_meeting, succ)
 
@@ -328,40 +355,60 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
     """All states of m where f holds.  On a valid model this is always
     an upset of the order (persistence).  m is not validated, so on a
     model that breaks its frame conditions, say with a valuation that
-    is not upward closed, the result need not be an upset."""
-    key = (f, ck_reflexive)
-    cached = m._eval_cache.get(key)
-    if cached is not None:
-        return cached
+    is not upward closed, the result need not be an upset.
 
-    def ev(g: Formula) -> frozenset:
-        return truth_set(g, m, ck_reflexive)
+    Each node is computed on masks: its children's masks come from the
+    cache entries their own truth_set calls leave, read as soon as each
+    call returns, and the node's mask is decoded once for the result."""
+    key = (f, ck_reflexive)
+    cache = m._eval_cache
+    hit = cache.get(key)
+    if hit is not None:
+        return hit[0]
+    if len(cache) >= MAX_EVAL_CACHE:
+        cache.clear()
+
+    def ev(g: Formula) -> int:
+        truth_set(g, m, ck_reflexive)
+        return cache[g, ck_reflexive][1]
 
     op = type(f)
     if isinstance(f, Atom):
-        out = m.valuation.get(f.name, frozenset())
-    elif isinstance(f, Top):
-        out = m.state_set
-    elif isinstance(f, Bot):
-        out = frozenset()
-    elif isinstance(f, And):
-        out = ev(f.left) & ev(f.right)
-    elif isinstance(f, Or):
-        out = ev(f.left) | ev(f.right)
-    elif isinstance(f, Imp):
-        out = _imp(m, ev(f.left), ev(f.right))
-    elif isinstance(f, Sub):
-        out = _sub(m, ev(f.left), ev(f.right))
+        out = m.valuation.get(f.name, _EMPTY)
+        cache[key] = (out, _mask(m, out))
+        return out
+    if isinstance(f, Top):
+        cache[key] = (m.state_set, (1 << len(m.states)) - 1)
+        return m.state_set
+    if isinstance(f, Bot):
+        cache[key] = (_EMPTY, 0)
+        return _EMPTY
+    if isinstance(f, (And, Or, Imp, Sub)):
+        a = ev(f.left)
+        b = ev(f.right)
+        if isinstance(f, And):
+            mask = a & b
+        elif isinstance(f, Or):
+            mask = a | b
+        elif isinstance(f, Imp):
+            mask = _bits_disjoint(_succ_masks(m, "imp"), a & ~b)
+        else:
+            mask = _bits_meeting(_succ_masks(m, "sub"), a & ~b)
     elif op in _MODAL:
-        succ = _successors(m, op, ck_reflexive if op is Ck else f.index)
-        out = _MODAL[op][1](m.states, succ, ev(f.body))
+        succ = _succ_masks(m, op, ck_reflexive if op is Ck else f.index)
+        a = ev(f.body)
+        if _MODAL[op]:
+            mask = _bits_disjoint(succ, ((1 << len(succ)) - 1) ^ a)
+        else:
+            mask = _bits_meeting(succ, a)
     else:
         raise FlavorError(f"no evaluation clause for {op.__name__}")
-    m._eval_cache[key] = out
+    out = frozenset(rel._names(m.states, mask))
+    cache[key] = (out, mask)
     return out
 
 
-_ARROWS = {"arrow": ("imp", _imp), "coarrow": ("sub", _sub)}
+_ARROWS = {"arrow": "imp", "coarrow": "sub"}
 _BARS = {"boxbar": Box, "diabar": Dia}
 
 
@@ -370,7 +417,7 @@ def _operator(kind: str) -> tuple:
     index) it reads: index None for the binary arrows "imp" and "sub",
     at least 1 for Box and Dia.  Raises ValueError on any other name."""
     if kind in _ARROWS:
-        return _ARROWS[kind][0], None
+        return _ARROWS[kind], None
     name, _, suffix = kind.rpartition("_")
     if name in _BARS and suffix.isdigit() and int(suffix) >= 1:
         return _BARS[name], int(suffix)
@@ -384,7 +431,7 @@ def semantic_operator(kind: str, m: Model, a: frozenset,
     index (at least 1) baked into the name.  Arguments must be sets of
     m's states, else ModelFormatError names the first unknown one, and
     upsets, since the operators are only meaningful on the upset
-    lattice."""
+    lattice.  The connective is the oracle's, on masks."""
     args = [frozenset(arg) for arg in (a, b) if arg is not None]
     for arg in args:
         unknown = arg - m.state_set
@@ -392,8 +439,10 @@ def semantic_operator(kind: str, m: Model, a: frozenset,
             raise ModelFormatError(
                 f"semantic operator argument mentions unknown state "
                 f"{sorted(unknown)[0]!r}")
-    for arg in args:
-        if not rel.is_upset(m.leq, arg):
+    masks = [_mask(m, arg) for arg in args]
+    up = _succ_masks(m, "imp")
+    for arg, mask in zip(args, masks):
+        if any(up[i] & ~mask for i in rel._bits(mask)):
             raise PreconditionError(
                 f"semantic operator arguments must be upsets; "
                 f"{sorted(arg)} is not upward closed")
@@ -402,6 +451,6 @@ def semantic_operator(kind: str, m: Model, a: frozenset,
         raise ValueError(f"{kind} needs two arguments")
     if index is not None and b is not None:
         raise ValueError(f"{kind} takes one argument")
-    if index is None:
-        return _ARROWS[kind][1](m, a, b)
-    return _MODAL[key][1](m.states, _successors(m, key, index), a)
+    op = _Kernel([m]).connective(key, index)
+    out = op(masks[0] & ~masks[1]) if index is None else op(masks[0])
+    return frozenset(rel._names(m.states, out))

@@ -1,0 +1,225 @@
+"""Differential test of the Model constructor against the one before
+the model held its relations as bit rows.
+
+OldModel below keeps the previous constructor verbatim, with its
+equality and the previous model_to_dict: it stored leq and every
+stored relation as a frozenset of pairs.  On every input the
+constructor must give the same leq, boxes, diamonds, equality and
+dictionary, or raise the same error with the same text.  Each bad
+input below holds exactly one fault, since with several the previous
+constructor reported whichever its frozenset met first.
+"""
+
+import random
+
+import pytest
+
+from kripkit.errors import ModelFormatError
+from kripkit.model import (_ATOM_NAME, _SHAPES, EK, FLAVORS, STANDARD, Model,
+                           model_to_dict)
+
+
+class OldModel:
+    def __init__(self, states, leq, boxes=(), diamonds=(), valuation=None,
+                 flavor=STANDARD):
+        states = list(states)
+        if not states:
+            raise ModelFormatError("a model needs at least one state")
+        if len(set(states)) != len(states):
+            raise ModelFormatError("duplicate state names")
+        if not all(isinstance(s, str) and s for s in states):
+            raise ModelFormatError("state names must be nonempty strings")
+        self.states = tuple(sorted(states))
+        known = frozenset(self.states)
+
+        def checked(pairs, what):
+            pairs = frozenset(map(tuple, pairs))
+            for a, b in pairs:
+                if a not in known or b not in known:
+                    raise ModelFormatError(
+                        f"{what} mentions unknown state in ({a}, {b})")
+            return pairs
+
+        self.leq = checked(leq, "leq")
+        self.boxes = tuple(
+            checked(r, f"box relation {i}") for i, r in enumerate(boxes, 1))
+        self.diamonds = tuple(
+            checked(s, f"diamond relation {j}")
+            for j, s in enumerate(diamonds, 1))
+
+        if flavor not in FLAVORS:
+            raise ModelFormatError(f"unknown flavor {flavor!r}")
+        want_boxes, want_diamonds = _SHAPES[flavor]
+        if want_boxes is not None and len(self.boxes) != want_boxes:
+            raise ModelFormatError(
+                f"flavor {flavor!r} stores exactly {want_boxes} box "
+                f"relation(s), got {len(self.boxes)}")
+        if flavor == EK and not self.boxes:
+            raise ModelFormatError("flavor 'ek' needs at least one relation")
+        if want_diamonds is not None and len(self.diamonds) != want_diamonds:
+            raise ModelFormatError(
+                f"flavor {flavor!r} stores exactly {want_diamonds} diamond "
+                f"relation(s), got {len(self.diamonds)}")
+        self.flavor = flavor
+
+        self.valuation = {}
+        for atom in sorted(valuation or {}):
+            if not _ATOM_NAME.match(atom):
+                raise ModelFormatError(
+                    f"atom name {atom!r} is not a lowercase identifier")
+            xs = frozenset(valuation[atom])
+            unknown = xs - known
+            if unknown:
+                raise ModelFormatError(
+                    f"valuation of {atom} mentions unknown state "
+                    f"{sorted(unknown)[0]!r}")
+            self.valuation[atom] = xs
+
+    def __eq__(self, other) -> bool:
+        return (self.states == other.states and self.leq == other.leq
+                and self.boxes == other.boxes
+                and self.diamonds == other.diamonds
+                and self.valuation == other.valuation
+                and self.flavor == other.flavor)
+
+
+def old_model_to_dict(m: OldModel) -> dict:
+    return {
+        "states": list(m.states),
+        "leq_gen": [list(p) for p in sorted(m.leq)],
+        "boxes": [[list(p) for p in sorted(r)] for r in m.boxes],
+        "diamonds": [[list(p) for p in sorted(s)] for s in m.diamonds],
+        "valuation": {atom: sorted(xs) for atom, xs in m.valuation.items()},
+        "flavor": m.flavor,
+    }
+
+
+def built(cls, args):
+    """The model cls builds from args, or the type and text of what
+    it raised."""
+    try:
+        return cls(*args)
+    except (ModelFormatError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# Random inputs
+
+
+def _pairs(rng: random.Random, states: list[str]) -> list:
+    """A relation as the caller might write it: possibly empty, with
+    duplicate pairs, pairs as tuples or lists, in any order."""
+    if not rng.randrange(4):
+        return []
+    density = rng.random()
+    pairs = [(a, b) for a in states for b in states if rng.random() < density]
+    pairs += rng.choices(pairs, k=rng.randrange(3)) if pairs else []
+    rng.shuffle(pairs)
+    return [list(p) if rng.random() < 0.5 else p for p in pairs]
+
+
+def _args(rng: random.Random) -> list:
+    """Constructor arguments, relation counts right for the flavor
+    most of the time; the order is left unclosed."""
+    states = [f"s{i}" for i in range(rng.choice((1, 1, 2, 3, 5, 8)))]
+    rng.shuffle(states)
+    flavor = rng.choice(FLAVORS)
+    want_boxes, want_diamonds = _SHAPES[flavor]
+    n_boxes = rng.randint(0, 3) if want_boxes is None else want_boxes
+    n_diamonds = rng.randint(0, 2) if want_diamonds is None else want_diamonds
+    if rng.random() < 0.15:
+        n_boxes = rng.randint(0, 3)
+    if rng.random() < 0.15:
+        n_diamonds = rng.randint(0, 2)
+    valuation = {atom: [s for s in states if rng.random() < 0.5]
+                 for atom in rng.sample(("p", "q", "r"), rng.randint(0, 3))}
+    return [states, _pairs(rng, states),
+            [_pairs(rng, states) for _ in range(n_boxes)],
+            [_pairs(rng, states) for _ in range(n_diamonds)],
+            valuation, flavor]
+
+
+def _one_fault(rng: random.Random, args: list) -> list:
+    """args with one bad pair put into one relation: an unknown state
+    on either side, or a pair of the wrong length."""
+    states = args[0]
+    relations = [args[1], *args[2], *args[3]]
+    target = rng.choice(relations)
+    a, b = rng.choice(states), rng.choice(states)
+    bad = rng.choice([(a, "zz"), ["zz", b], (a,), [a, b, b], ()])
+    target.insert(rng.randrange(len(target) + 1), bad)
+    return args
+
+
+def _compare(args) -> None:
+    new, old = built(Model, args), built(OldModel, args)
+    if isinstance(old, tuple):
+        assert new == old, args
+        return
+    assert isinstance(new, Model), (args, new)
+    assert new.states == old.states
+    assert new.leq == old.leq
+    assert new.boxes == old.boxes
+    assert new.diamonds == old.diamonds
+    assert new.valuation == old.valuation
+    assert model_to_dict(new) == old_model_to_dict(old)
+
+
+CASES = range(1500)
+
+
+def test_constructor_matches_reference_on_random_input():
+    for seed in CASES:
+        _compare(_args(random.Random(seed)))
+
+
+def test_constructor_errors_match_reference():
+    for seed in CASES:
+        rng = random.Random(f"fault/{seed}")
+        _compare(_one_fault(rng, _args(rng)))
+
+
+def test_equality_matches_reference():
+    # pairs of models, most of them sharing states and flavor, compare
+    # equal under the new constructor exactly when under the old one
+    for seed in range(500):
+        rng = random.Random(f"eq/{seed}")
+        args = _args(rng)
+        other = _args(rng)
+        if rng.random() < 0.7:
+            other[0], other[5] = list(args[0]), args[5]
+        if rng.random() < 0.3:  # the same relations, differently written
+            other = [args[0], list(reversed(args[1])), args[2], args[3],
+                     args[4], args[5]]
+        pair = [built(Model, args), built(Model, other)]
+        olds = [built(OldModel, args), built(OldModel, other)]
+        if any(isinstance(m, tuple) for m in pair + olds):
+            continue
+        assert (pair[0] == pair[1]) == (olds[0] == olds[1]), (args, other)
+
+
+@pytest.mark.parametrize("args", [
+    [[], []],
+    [["a", "a"], []],
+    [["a", ""], []],
+    [["a", 1], []],
+    [["a"], [("a", "zz")]],
+    [["a"], [("a",)]],
+    [["a"], [("a", "a", "a")]],
+    [["a"], [5]],
+    [["a"], [(["a"], "a")]],
+    [["a"], [], [[("zz", "a")]]],
+    [["a"], [], [], [[("a", "zz")]]],
+    [["a"], [], [[]], [], None, "fs"],
+    [["a"], [], [], [], None, "fs"],
+    [["a"], [], [], [], None, "ek"],
+    [["a"], [], [[]], [[]], None, "h"],
+    [["a"], [], [[]], [], None, "gpt"],
+    [["a"], [], [], [], None, "nope"],
+    [["a"], [], [], [], {"P": ["a"]}],
+    [["a"], [], [], [], {"p": ["zz"]}],
+    [["a"], [("a", "a"), ["a", "a"]], [], [], {"p": ["a"]}],
+], ids=str)
+def test_constructor_matches_reference_on_edge_cases(args):
+    _compare(args)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import kripkit as kk
 import kripkit.relations as rel
+import test_relations_reference as ref
 from kripkit import Model, build_example, parse, semantics
 from kripkit.errors import FlavorError, ModelFormatError, PreconditionError
 from kripkit.sampling import random_formula, random_model
@@ -223,18 +224,30 @@ def test_monotone_operators_respect_inclusion(seed):
 
 
 # ---------------------------------------------------------------------------
-# Reference evaluator: every modal node applies rel.successors to the
-# public effective relation afresh, with no per-model successor table.
+# Reference evaluator: every node works on frozensets, and every modal
+# node applies a successor map to an effective relation built afresh
+# by the previous pair-based readers, so that nothing here runs on the
+# model's bit rows or its successor table.
 
 
 def _ref_forall(m, relation, a):
-    succ = rel.successors(relation)
+    succ = ref.successors(relation)
     return frozenset(x for x in m.states if succ.get(x, frozenset()) <= a)
 
 
 def _ref_exists(m, relation, a):
-    succ = rel.successors(relation)
+    succ = ref.successors(relation)
     return frozenset(x for x in m.states if succ.get(x, frozenset()) & a)
+
+
+def _ref_imp(m, a, b):
+    up = ref.successors(m.leq)
+    return frozenset(x for x in m.states if up.get(x, set()) & a <= b)
+
+
+def _ref_sub(m, a, b):
+    down = ref.successors(ref.converse(m.leq))
+    return frozenset(x for x in m.states if down.get(x, set()) & a - b)
 
 
 def reference_truth_set(f, m, ck_reflexive=False):
@@ -252,21 +265,19 @@ def reference_truth_set(f, m, ck_reflexive=False):
     if isinstance(f, kk.Or):
         return ev(f.left) | ev(f.right)
     if isinstance(f, kk.Imp):
-        a, b = ev(f.left), ev(f.right)
-        return frozenset(x for x in m.states if m.up_map[x] & a <= b)
+        return _ref_imp(m, ev(f.left), ev(f.right))
     if isinstance(f, kk.Sub):
-        a, b = ev(f.left), ev(f.right)
-        return frozenset(x for x in m.states if m.down_map[x] & a - b)
+        return _ref_sub(m, ev(f.left), ev(f.right))
     if isinstance(f, kk.Box):
-        return _ref_forall(m, box_relation(m, f.index), ev(f.body))
+        return _ref_forall(m, ref.box_relation(m, f.index), ev(f.body))
     if isinstance(f, kk.Dia):
-        return _ref_exists(m, dia_relation(m, f.index), ev(f.body))
+        return _ref_exists(m, ref.dia_relation(m, f.index), ev(f.body))
     if isinstance(f, kk.TDia):
-        return _ref_exists(m, back_dia_relation(m, f.index), ev(f.body))
+        return _ref_exists(m, ref.back_dia_relation(m, f.index), ev(f.body))
     if isinstance(f, kk.TBox):
-        return _ref_forall(m, back_box_relation(m, f.index), ev(f.body))
+        return _ref_forall(m, ref.back_box_relation(m, f.index), ev(f.body))
     if isinstance(f, kk.Ck):
-        return _ref_forall(m, ck_relation(m, ck_reflexive), ev(f.body))
+        return _ref_forall(m, ref.ck_relation(m, ck_reflexive), ev(f.body))
     raise FlavorError(f"no evaluation clause for {type(f).__name__}")
 
 
@@ -277,13 +288,13 @@ def reference_operator(kind, m, a, b=None):
                 f"semantic operator arguments must be upsets; "
                 f"{sorted(arg)} is not upward closed")
     if kind == "arrow":
-        return frozenset(x for x in m.states if m.up_map[x] & a <= b)
+        return _ref_imp(m, a, b)
     if kind == "coarrow":
-        return frozenset(x for x in m.states if m.down_map[x] & a - b)
+        return _ref_sub(m, a, b)
     name, _, suffix = kind.rpartition("_")
     if name == "boxbar":
-        return _ref_forall(m, box_relation(m, int(suffix)), a)
-    return _ref_exists(m, dia_relation(m, int(suffix)), a)
+        return _ref_forall(m, ref.box_relation(m, int(suffix)), a)
+    return _ref_exists(m, ref.dia_relation(m, int(suffix)), a)
 
 
 def outcome(fn, *args):
@@ -309,8 +320,10 @@ def _differential_models():
             m = random_model(rng, flavor, n_states=5, strict=seed % 2 == 0,
                              **kw)
             yield m, frag, rng
+    # spines(12) has 79 states, so its masks are long and sparse
     gallery = [build_example("wedge"), build_example("wedge_strict"),
-               build_example("spines", (3,)), build_example("porcupine", (2,)),
+               build_example("spines", (3,)), build_example("spines", (12,)),
+               build_example("porcupine", (2,)),
                build_example("porcupine_trimmed", (2,)),
                build_example("omega_chain", (3,))]
     for seed, m in enumerate(gallery):
@@ -344,14 +357,16 @@ def test_evaluators_agree_with_the_reference():
 
 
 def test_effective_relations_are_built_once_per_model(monkeypatch):
+    # an h diamond is the left converse, two row compositions, and the
+    # model's table keeps it for every later node of the chain
     calls = []
-    compose = rel.compose
+    compose_rows = rel._compose_rows
 
     def counting(r, s):
         calls.append(None)
-        return compose(r, s)
+        return compose_rows(r, s)
 
-    monkeypatch.setattr(rel, "compose", counting)
+    monkeypatch.setattr(rel, "_compose_rows", counting)
     counts = []
     for depth in (50, 150):
         m = random_model(random.Random(7), "h", n_states=15)
@@ -359,7 +374,40 @@ def test_effective_relations_are_built_once_per_model(monkeypatch):
         calls.clear()
         truth_set(chain, m)
         counts.append(len(calls))
-    assert counts[0] == counts[1]
+    assert counts[0] == counts[1] > 0
+
+
+def _height(f) -> int:
+    """Edges on the longest path from f down to a leaf."""
+    children = [getattr(f, name) for name in ("left", "right", "body")
+                if hasattr(f, name)]
+    return 1 + max(map(_height, children)) if children else 0
+
+
+def test_eval_cache_stays_bounded(monkeypatch):
+    cap = 8
+    monkeypatch.setattr(semantics, "MAX_EVAL_CACHE", cap)
+    evaluate = semantics.truth_set
+    seen = []
+
+    def watching(f, m, ck_reflexive=False):
+        out = evaluate(f, m, ck_reflexive)
+        seen.append(len(m._eval_cache))
+        return out
+
+    monkeypatch.setattr(semantics, "truth_set", watching)
+    emptied = 0
+    for m, frag, rng in _differential_models():
+        ek = m.flavor == "ek"
+        for depth in (2, 4, 6):
+            f = random_formula(rng, frag, depth, allow_ck=ek)
+            for ck in (False, True):
+                seen.clear()
+                assert outcome(watching, f, m, ck) == \
+                    outcome(reference_truth_set, f, m, ck), (m, f, ck)
+                assert max(seen, default=0) <= cap + _height(f) + 1
+                emptied += any(b < a for a, b in zip(seen, seen[1:]))
+    assert emptied  # the cap was reached, and the cache emptied
 
 
 def test_stored_entries_and_their_masks():
