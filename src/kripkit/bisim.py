@@ -45,7 +45,8 @@ from . import relations as rel
 from . import semantics
 from .errors import FlavorError, InternalCheckError, PreconditionError
 from .formula import Fragment
-from .model import EK, FS, GPT, H, STANDARD, TENSE, Model, Partition
+from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, Partition,
+                    _map_view)
 
 _EMPTY = frozenset()
 
@@ -152,8 +153,10 @@ class Task:
 def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
     """Instantiate the clause set against a concrete pair of models,
     in the fixed clause order."""
-    return [Task(clause, direction, semantics._successors(m, shape, index),
-                 semantics._successors(m2, shape, index), shape, index)
+    return [Task(clause, direction,
+                 _map_view(m.states, semantics._succ_masks(m, shape, index)),
+                 _map_view(m2.states, semantics._succ_masks(m2, shape, index)),
+                 shape, index)
             for clause, direction, shape, index
             in _resolved(conditions, m, m2)]
 

@@ -36,8 +36,9 @@ without a budget the oracle refines that preorder by the connectives
 applied to irreducible sets, in polynomial time; a budget instead
 lists definable sets, cheapest formula first.  It works on bit masks,
 and the preorder refinement is semantics._definable_preorder, which
-genframe.close_algebra shares; it shares no code with the bisimulation
-refinement.  hennessy_milner_check ties the two together.
+genframe.close_algebra and genframe.is_general_model share; it shares
+no code with the bisimulation refinement.  hennessy_milner_check ties
+the two together.
 """
 
 from __future__ import annotations

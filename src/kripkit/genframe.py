@@ -5,9 +5,10 @@ the whole carrier.  close_algebra closes a family of generators under
 intersection, union, and a chosen list of set operators; the result
 is the upsets of the preorder semantics._definable_preorder computes,
 as for the exact oracle.  is_general_model asks whether a family
-supports a whole fragment;
-descriptive_box_check asks whether the box relation can be read back
-off the algebra, the finite shadow of descriptiveness:
+supports a whole fragment, by counting the upsets of the same
+preorder; descriptive_box_check asks whether the effective box
+relation can be read back off the algebra, the finite shadow of
+descriptiveness:
 
     x R y  iff  every admissible a with x in box(a) contains y
 
@@ -18,13 +19,14 @@ always a pair related by the algebra but not by R.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import partial
 from typing import Iterable, Sequence
 
 from . import relations as rel
 from . import semantics
 from .errors import ModelFormatError, PreconditionError
 from .formula import Box, Fragment
-from .model import Model
+from .model import Model, _known
 
 
 # n singletons on a discrete order close to 2^n + 1 sets; porcupine(6)
@@ -82,31 +84,13 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
     states and generators, plus one step per class and output set."""
     entries = [semantics._operator(op) for op in ops]
     family: set[frozenset] = {frozenset(), m.state_set}
-    for g in generators:
-        g = frozenset(g)
-        unknown = g - m.state_set
-        if unknown:
-            raise ModelFormatError(
-                f"generator mentions unknown state {sorted(unknown)[0]!r}")
-        family.add(g)
+    family.update(_known(m, g, "generator") for g in generators)
     kernel = semantics._Kernel([m])
     modal = [(kernel.connective(key, index), semantics._MODAL[key])
              for key, index in entries if index is not None]
     arrows = [kernel.connective(*e) for e in entries if e[1] is None]
-
-    def states(a: int) -> frozenset:
-        return frozenset(m.states[i] for i in rel._bits(a))
-
     if entries:
-        up = semantics._succ_masks(m, "imp")
-
-        def upset(a: int) -> int:
-            if any(up[i] & ~a for i in rel._bits(a)):
-                raise PreconditionError(
-                    f"semantic operator arguments must be upsets; "
-                    f"{sorted(states(a))} is not upward closed")
-            return a
-
+        upset = partial(semantics._upset, m)
         for g in sorted(family, key=_canon_key):
             upset(semantics._mask(m, g))
         modal = [(lambda a, op=op: upset(op(a)), reads_all)
@@ -114,13 +98,22 @@ def close_algebra(m: Model, generators: Iterable[Iterable[str]],
         arrows = [lambda d, op=op: upset(op(d)) for op in arrows]
     classes = semantics._definable_preorder(
         len(m.states), [semantics._mask(m, g) for g in family], modal, arrows)
+    members = _upsets(classes, MAX_ALGEBRA_SIZE)
+    if members is None:
+        raise PreconditionError(
+            f"the closed family has more than {MAX_ALGEBRA_SIZE} sets")
+    return SetAlgebra(rel._names(m.states, a) for a in members)
+
+
+def _upsets(classes: dict[int, int], limit: int) -> set[int] | None:
+    """The upsets of a _definable_preorder result, each a union of up
+    masks, or None as soon as there are more than limit of them."""
     members = {0}
     for above in classes:
         members.update([a | above for a in members])
-        if len(members) > MAX_ALGEBRA_SIZE:
-            raise PreconditionError(
-                f"the closed family has more than {MAX_ALGEBRA_SIZE} sets")
-    return SetAlgebra(map(states, members))
+        if len(members) > limit:
+            return None
+    return members
 
 
 def is_general_model(m: Model, algebra: SetAlgebra,
@@ -129,58 +122,67 @@ def is_general_model(m: Model, algebra: SetAlgebra,
     hold the empty set, the carrier, and every valuation set; contain
     only upsets; and be closed under intersection, union, and the
     fragment's connectives (arrow for int bases, coarrow for dual
-    bases, one box or diamond operator per modality)."""
+    bases, one box or diamond operator per modality).  Raises
+    ModelFormatError first on a state outside the model.  The upsets
+    of the members' definable preorder are the least closed family
+    holding them, so the family is closed exactly when there are no
+    more of those than members; listing them stops past that count."""
+    _known(m, set().union(*algebra), "algebra")
     if frozenset() not in algebra or m.state_set not in algebra:
         return False
-    for a in algebra:
-        if not rel.is_upset(m.leq, a):
-            return False
-    for xs in m.valuation.values():
-        if xs not in algebra:
-            return False
-    kernel = semantics._Kernel([m])
+    up = semantics._succ_masks(m, "imp")
     masks = {semantics._mask(m, a) for a in algebra}
-    unary, arrows = [], []
+    if any(up[i] & ~a for a in masks for i in rel._bits(a)):
+        return False
+    if any(xs not in algebra for xs in m.valuation.values()):
+        return False
+    kernel = semantics._Kernel([m])
+    modal, arrows = [], []
     for key, index in semantics._connectives(replace(frag, tense=False)):
         op = kernel.connective(key, index)
-        if index is not None and op(0) not in masks:
+        if index is None:
+            arrows.append(op)
+        elif op(0) not in masks:
             return False  # before an operator further on can fail
-        (arrows if index is None else unary).append(op)
-    for a in masks:
-        if any(op(a) not in masks for op in unary):
-            return False
-        for b in masks:
-            if (a & b) not in masks or (a | b) not in masks:
-                return False
-            if any(op(a & ~b) not in masks for op in arrows):
-                return False
-    return True
+        else:
+            modal.append((op, semantics._MODAL[key]))
+    classes = semantics._definable_preorder(len(m.states), masks, modal,
+                                            arrows)
+    return _upsets(classes, len(masks)) is not None
 
 
 def descriptive_box_check(m: Model, algebra: SetAlgebra, index: int = 1):
-    """Can the box relation be recovered from the algebra?  Compares R
-    against the algebraically induced relation
+    """Can the box relation be recovered from the algebra?  Compares
+    the effective box relation E (≤∘R on fs and gpt) against the
+    algebraically induced relation
 
         x R_A y  iff  for all a in the family: x in box(a) implies y in a
 
-    R is always included in R_A, so the check fails exactly when some
-    pair is induced but absent; the first such pair (lexicographically)
-    is returned as (False, pair).  Success is (True, None).
+    so R_A(x) is the meet of the members holding E(x), at one step per
+    state and member.  E is always included in R_A, so the check fails
+    exactly when some pair is induced but absent; the first such pair
+    (lexicographically) is returned as (False, pair).  Success is
+    (True, None).  Raises FlavorError on an index the model lacks,
+    then, for the first bad member in canonical order,
+    ModelFormatError on a foreign state or PreconditionError on a
+    non-upset.
 
     Only the box relation is examined.  Whether the order itself
     deserves the name descriptive is a duality-theoretic question
     about the underlying intuitionistic frame, and nothing in this
     module answers it."""
-    succ = semantics._successors(m, Box, index)
-    box_of = {a: semantics.semantic_operator(f"boxbar_{index}", m, a)
-              for a in algebra}
-    for x in m.states:
-        reachable = succ[x]
-        for y in m.states:
-            if y in reachable:
-                continue
-            if all(y in a for a, boxed in box_of.items() if x in boxed):
-                return (False, (x, y))
+    box = semantics._succ_masks(m, Box, index)
+    masks = [semantics._upset(m, semantics._mask(
+        m, _known(m, a, "semantic operator argument"))) for a in algebra]
+    full = (1 << len(m.states)) - 1
+    for x, succ in zip(m.states, box):
+        induced = full ^ succ
+        for a in masks:
+            if not succ & ~a:
+                induced &= a
+        if induced:
+            y = m.states[(induced & -induced).bit_length() - 1]
+            return (False, (x, y))
     return (True, None)
 
 
@@ -195,12 +197,6 @@ def algebra_from_lists(data, m: Model | None = None) -> SetAlgebra:
                 or not all(isinstance(s, str) for s in entry)):
             raise ModelFormatError(
                 f"algebra entry {i} must be a list of state names")
-        s = frozenset(entry)
-        if m is not None:
-            unknown = s - m.state_set
-            if unknown:
-                raise ModelFormatError(
-                    f"algebra entry {i} mentions unknown state "
-                    f"{sorted(unknown)[0]!r}")
-        sets.append(s)
+        sets.append(entry if m is None
+                    else _known(m, entry, f"algebra entry {i}"))
     return SetAlgebra(sets)

@@ -150,13 +150,8 @@ class Model:
             if not _ATOM_NAME.match(atom):
                 raise ModelFormatError(
                     f"atom name {atom!r} is not a lowercase identifier")
-            xs = frozenset(valuation[atom])
-            unknown = xs - self.state_set
-            if unknown:
-                raise ModelFormatError(
-                    f"valuation of {atom} mentions unknown state "
-                    f"{sorted(unknown)[0]!r}")
-            self.valuation[atom] = xs
+            self.valuation[atom] = _known(self, valuation[atom],
+                                          f"valuation of {atom}")
         self._eval_cache: dict = {}
         self._succ_table: dict = {}  # see semantics._succ_masks
         self._validation: ValidationReport | None = None
@@ -233,6 +228,17 @@ class Model:
         if self._validation is None:
             self._validation = _validate(self)
         return self._validation
+
+
+def _known(m: Model, xs: Iterable[str], what: str) -> frozenset[str]:
+    """xs as a set of m's states, else ModelFormatError names what
+    mentions the least unknown one."""
+    xs = frozenset(xs)
+    unknown = xs - m.state_set
+    if unknown:
+        raise ModelFormatError(
+            f"{what} mentions unknown state {min(unknown)!r}")
+    return xs
 
 
 def _pair_view(states: tuple[str, ...], rows: list[int]) -> frozenset:

@@ -33,16 +33,16 @@ state.  A stored relation's entry is the model's own rows, at no cost;
 a converse is a transpose, one step per pair; a composition ORs one
 row per pair of its left factor; and C's closure is Warshall's on the
 union of the rows.  truth_set, semantic_operator, the refinement, the
-oracle and close_algebra all read these masks.  Frozensets appear only
+oracle and genframe all read these masks.  Frozensets appear only
 where the public API returns them: the relation readers below and
-_successors decode an entry once per call (readers) or per model
-(_successors), at one step per pair, and truth_set decodes one mask
-per node it evaluates.
+bisim.resolved_tasks decode an entry once per call, at one step per
+pair, and truth_set decodes one mask per node it evaluates.
 
 _Kernel lays several models' masks side by side, and
 _definable_preorder computes the least family of masks closed under
 its connectives as the preorder that family is the upsets of.  The
-exact oracle and close_algebra both build their families that way.
+exact oracle and close_algebra build their families that way, and
+is_general_model tests a family's closure on it.
 Truth sets are cached on the model as well, with their masks, so
 repeated evaluation stays cheap; a miss empties the cache first once
 it holds MAX_EVAL_CACHE entries.
@@ -56,10 +56,10 @@ from operator import or_
 from typing import Iterator
 
 from . import relations as rel
-from .errors import FlavorError, ModelFormatError, PreconditionError
+from .errors import FlavorError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
                       Or, Sub, TBox, TDia, Top)
-from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, _map_view,
+from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, _known,
                     _pair_view)
 
 
@@ -179,16 +179,6 @@ def _succ_masks(m: Model, key, index=None) -> list[int]:
     return masks
 
 
-def _successors(m: Model, key, index=None) -> dict[str, frozenset]:
-    """Table entry (key, index) decoded to a successor map, total on
-    m's states, and kept in the table."""
-    succ = m._succ_table.get((key, index, frozenset))
-    if succ is None:
-        succ = m._succ_table[key, index, frozenset] = _map_view(
-            m.states, _succ_masks(m, key, index))
-    return succ
-
-
 def box_relation(m: Model, index: int) -> frozenset:
     """Effective relation whose universal image interprets []index."""
     return _pair_view(m.states, _succ_masks(m, Box, index))
@@ -224,6 +214,17 @@ def _mask(m: Model, xs) -> int:
     for x in xs:
         out |= 1 << index[x]
     return out
+
+
+def _upset(m: Model, a: int) -> int:
+    """The mask a, once it is checked to be an upset of m's order: the
+    set-level connectives are only meaningful on the upset lattice."""
+    up = _succ_masks(m, "imp")
+    if any(up[i] & ~a for i in rel._bits(a)):
+        raise PreconditionError(
+            f"semantic operator arguments must be upsets; "
+            f"{sorted(rel._names(m.states, a))} is not upward closed")
+    return a
 
 
 def _bits_disjoint(masks: list[int], d: int) -> int:
@@ -432,20 +433,9 @@ def semantic_operator(kind: str, m: Model, a: frozenset,
     m's states, else ModelFormatError names the first unknown one, and
     upsets, since the operators are only meaningful on the upset
     lattice.  The connective is the oracle's, on masks."""
-    args = [frozenset(arg) for arg in (a, b) if arg is not None]
-    for arg in args:
-        unknown = arg - m.state_set
-        if unknown:
-            raise ModelFormatError(
-                f"semantic operator argument mentions unknown state "
-                f"{sorted(unknown)[0]!r}")
-    masks = [_mask(m, arg) for arg in args]
-    up = _succ_masks(m, "imp")
-    for arg, mask in zip(args, masks):
-        if any(up[i] & ~mask for i in rel._bits(mask)):
-            raise PreconditionError(
-                f"semantic operator arguments must be upsets; "
-                f"{sorted(arg)} is not upward closed")
+    args = [_known(m, arg, "semantic operator argument")
+            for arg in (a, b) if arg is not None]
+    masks = [_upset(m, _mask(m, arg)) for arg in args]
     key, index = _operator(kind)
     if index is None and b is None:
         raise ValueError(f"{kind} needs two arguments")

@@ -86,6 +86,17 @@ def test_is_general_model_checks_operators_in_order():
                                            bare.state_set]), frag)
 
 
+def test_is_general_model_rejects_states_outside_the_model():
+    # the least foreign state is named before any other test, even one
+    # that would answer False
+    alg = SetAlgebra([[], ["x", "y", "z"], ["y", "z"], ["z"], ["zz"]])
+    with pytest.raises(ModelFormatError, match="unknown state 'zz'"):
+        is_general_model(WEDGE, alg, Fragment("int", 1, 0))
+    with pytest.raises(ModelFormatError, match="unknown state 'a'"):
+        is_general_model(WEDGE, SetAlgebra([["zz", "x"], ["a"]]),
+                         Fragment("int"))
+
+
 def test_descriptive_box_check():
     alg = close_algebra(WEDGE, [WEDGE.valuation["p"], WEDGE.valuation["q"]],
                         ["arrow", "boxbar_1"])
