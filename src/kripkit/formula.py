@@ -28,7 +28,7 @@ MAX_DEPTH parentheses, with a ParseError.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import NamedTuple
 
 from .errors import FragmentError, ParseError
@@ -44,12 +44,13 @@ class Formula:
     """Base class for formula nodes.  Instances are immutable and
     compare structurally.
 
-    A node's hash is computed once, when it is built, from its class,
-    its scalar fields and its children's hashes, which are stored
-    already; so hashing costs O(1) at any depth.  Equality, printing
-    and evaluation still recurse over the tree.  Each node class
-    restates __hash__ in its own body, because a frozen dataclass
-    replaces an inherited one with a hash of its fields.
+    A node has one of five shapes: Atom, a constant, a binary
+    connective, an indexed modality or Ck, each a frozen dataclass with
+    eq=False, so this class alone defines hashing and equality.  A
+    node's hash, hash((its class, *its fields)), is stored when it is
+    built; so hashing costs O(1) at any depth.  Equality walks both
+    trees with a stack and stops at the first pair of nodes whose
+    hashes differ.  Only printing and evaluation recurse over the tree.
 
     connective_count and to_string remember their answers in one
     attribute outside the dataclass fields, _memo: the connective
@@ -66,148 +67,108 @@ class Formula:
     def __hash__(self) -> int:
         return self._h
 
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # Walk both trees at once, following left or only children and
+        # stacking right ones as nested (a, b, rest) tuples, cheaper than
+        # a list.  A pair of one object twice is equal, unequal hashes not.
+        a, b, todo = self, other, ()
+        while True:
+            if a is not b:
+                if type(a) is not type(b):
+                    # as the tuple comparison of dataclass fields does
+                    if not a == b:
+                        return False
+                elif isinstance(a, _Modal):
+                    if a._h != b._h or not a.index == b.index:
+                        return False
+                    a, b = a.body, b.body
+                    continue
+                elif isinstance(a, _Binary):
+                    if a._h != b._h:
+                        return False
+                    todo = a.right, b.right, todo
+                    a, b = a.left, b.left
+                    continue
+                elif isinstance(a, _Const):
+                    pass
+                elif isinstance(a, Atom):
+                    if not a.name == b.name:
+                        return False
+                elif isinstance(a, Ck):
+                    if a._h != b._h:
+                        return False
+                    a, b = a.body, b.body
+                    continue
+                elif not a == b:
+                    return False  # children that are not formulas
+            if not todo:
+                return True
+            a, b, todo = todo
+
+    # a shape's frozen __setattr__ passes non-fields of subclasses here
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
     def __reduce__(self):
         # Rebuild through the constructor: str hashes are salted per
         # process, so a stored hash must not travel in a pickle.
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-# Each node's __post_init__ stores its hash through this, since the
+# Each shape's __post_init__ stores its hash through this, since the
 # nodes are frozen; binding it here spares a lookup per node built.
 _set = object.__setattr__
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom(Formula):
     name: str
 
     _memo = 0  # the connective count of every leaf
 
     def __post_init__(self):
-        _set(self, "_h", hash((Atom, self.name)))
-
-    __hash__ = Formula.__hash__
+        _set(self, "_h", hash((type(self), self.name)))
 
 
-@dataclass(frozen=True)
-class Top(Formula):
+@dataclass(frozen=True, eq=False)
+class _Const(Formula):
+    """The shape of the constants T and F."""
+
     _memo = 0  # the connective count of every leaf
 
     def __post_init__(self):
-        _set(self, "_h", hash((Top,)))
-
-    __hash__ = Formula.__hash__
+        _set(self, "_h", hash((type(self),)))
 
 
-@dataclass(frozen=True)
-class Bot(Formula):
-    _memo = 0  # the connective count of every leaf
-
-    def __post_init__(self):
-        _set(self, "_h", hash((Bot,)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        _set(self, "_h", hash((And, self.left, self.right)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        _set(self, "_h", hash((Or, self.left, self.right)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
-
-    def __post_init__(self):
-        _set(self, "_h", hash((Imp, self.left, self.right)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
-class Sub(Formula):
-    """Subtraction a -< b: the co-implication dual to ->."""
+@dataclass(frozen=True, eq=False)
+class _Binary(Formula):
+    """The shape of the binary connectives."""
 
     left: Formula
     right: Formula
 
     def __post_init__(self):
-        _set(self, "_h", hash((Sub, self.left, self.right)))
-
-    __hash__ = Formula.__hash__
+        _set(self, "_h", hash((type(self), self.left, self.right)))
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    index: int
-    body: Formula
-
-    def __post_init__(self):
-        _check_index(self.index)
-        _set(self, "_h", hash((Box, self.index, self.body)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
-class Dia(Formula):
-    index: int
-    body: Formula
-
-    def __post_init__(self):
-        _check_index(self.index)
-        _set(self, "_h", hash((Dia, self.index, self.body)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
-class TDia(Formula):
-    """Backward diamond <|i: looks against box relation i."""
+@dataclass(frozen=True, eq=False)
+class _Modal(Formula):
+    """The shape of the modalities indexed by a relation."""
 
     index: int
     body: Formula
 
     def __post_init__(self):
         _check_index(self.index)
-        _set(self, "_h", hash((TDia, self.index, self.body)))
-
-    __hash__ = Formula.__hash__
+        _set(self, "_h", hash((type(self), self.index, self.body)))
 
 
-@dataclass(frozen=True)
-class TBox(Formula):
-    """Backward box |>j: looks against diamond relation j."""
-
-    index: int
-    body: Formula
-
-    def __post_init__(self):
-        _check_index(self.index)
-        _set(self, "_h", hash((TBox, self.index, self.body)))
-
-    __hash__ = Formula.__hash__
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ck(Formula):
     """Common knowledge: box along the transitive closure of the union
     of all box relations."""
@@ -215,9 +176,21 @@ class Ck(Formula):
     body: Formula
 
     def __post_init__(self):
-        _set(self, "_h", hash((Ck, self.body)))
+        _set(self, "_h", hash((type(self), self.body)))
 
-    __hash__ = Formula.__hash__
+
+# The concrete node classes, one line each: a class adds only its name,
+# which hashing, equality and the tables below read.
+class Top(_Const): """The constant T, true everywhere."""
+class Bot(_Const): """The constant F, true nowhere."""
+class And(_Binary): """Conjunction a & b."""
+class Or(_Binary): """Disjunction a | b."""
+class Imp(_Binary): """Implication a -> b."""
+class Sub(_Binary): """Subtraction a -< b: the co-implication dual to ->."""
+class Box(_Modal): """Forward box []i: looks along box relation i."""
+class Dia(_Modal): """Forward diamond <>j: looks along diamond relation j."""
+class TDia(_Modal): """Backward diamond <|i: looks against box relation i."""
+class TBox(_Modal): """Backward box |>j: looks against diamond relation j."""
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +269,12 @@ def _tokenize(text: str) -> list[_Token]:
 
 # The deepest formula parse accepts: at most this many edges from the
 # root to a leaf, and at most this many nested parentheses.  Parsing
-# recurses twice per parenthesis; printing, translating, evaluating
-# and comparing recurse per level, and on Python 3.11 comparing two
-# equal trees built apart spends three levels of the default recursion
-# limit of 1000 per node.  Hashing does not recurse: a node's hash is
-# stored when it is built.  300 leaves room for a caller's stack some
-# 60 frames deep, and 150 levels of "[]1 (...) & q" are 300 deep.
+# recurses twice per parenthesis, printing once per level and
+# evaluating twice per level (truth_set and its helper for children),
+# against the default recursion limit of 1000.  Hashing, comparing,
+# translating and the structural measures walk with a stack.  300
+# leaves room for a caller's stack some 60 frames deep, and 150 levels
+# of "[]1 (...) & q" are 300 deep.
 MAX_DEPTH = 300
 
 # Prefix operators: token kind -> node built around the operand.  A
@@ -403,8 +376,8 @@ def _height(f: Formula) -> int:
     while level:
         height += 1
         level = [child for g in level for child in (
-            (g.left, g.right) if isinstance(g, (And, Or, Imp, Sub)) else
-            () if isinstance(g, (Atom, Top, Bot)) else (g.body,))]
+            (g.left, g.right) if isinstance(g, _Binary) else
+            () if isinstance(g, (Atom, _Const)) else (g.body,))]
     return height
 
 
@@ -465,7 +438,7 @@ def _render(f: Formula, floor: int, arrow_ctx: type | None) -> str:
         out = f"{_render(f.left, 2, None)} -> {_render(f.right, 1, Imp)}"
     elif isinstance(f, Sub):
         out = f"{_render(f.left, 1, Sub)} -< {_render(f.right, 2, None)}"
-    elif isinstance(f, (Box, Dia, TDia, TBox)):
+    elif isinstance(f, _Modal):
         out = f"{_MODAL_SYMBOL[type(f)]}{f.index} {_render(f.body, 4, None)}"
     elif isinstance(f, Ck):
         out = f"C {_render(f.body, 4, None)}"
@@ -484,13 +457,17 @@ def _render(f: Formula, floor: int, arrow_ctx: type | None) -> str:
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset([f.name])
-    if isinstance(f, (Top, Bot)):
-        return frozenset()
-    if isinstance(f, (And, Or, Imp, Sub)):
-        return atoms_of(f.left) | atoms_of(f.right)
-    return atoms_of(f.body)
+    """Names of the atoms in f, found without recursion."""
+    names, todo = set(), [f]
+    while todo:
+        g = todo.pop()
+        if isinstance(g, Atom):
+            names.add(g.name)
+        elif isinstance(g, _Binary):
+            todo += (g.right, g.left)
+        elif not isinstance(g, _Const):
+            todo.append(g.body)
+    return frozenset(names)
 
 
 def _stored_count(f: Formula) -> int | None:
@@ -509,7 +486,7 @@ def connective_count(f: Formula) -> int:
     todo = [f]
     while todo:
         g = todo[-1]
-        if isinstance(g, (And, Or, Imp, Sub)):
+        if isinstance(g, _Binary):
             left, right = _stored_count(g.left), _stored_count(g.right)
             if left is None:
                 todo.append(g.left)
@@ -538,18 +515,23 @@ def nesting_depth(f: Formula) -> int:
     operator applied directly to an arrow shares the arrow's layer:
     []1 (p -> q) is one layer deep, matching how one refinement round
     of the bisimulation game can introduce exactly that shape.
-    Conjunction and disjunction are free.
+    Conjunction and disjunction are free.  The walk carries each
+    node's count of layers above it, without recursion.
     """
-    if isinstance(f, (Atom, Top, Bot)):
-        return 0
-    if isinstance(f, (And, Or)):
-        return max(nesting_depth(f.left), nesting_depth(f.right))
-    if isinstance(f, (Imp, Sub)):
-        return 1 + max(nesting_depth(f.left), nesting_depth(f.right))
-    body = f.body
-    if isinstance(body, (Imp, Sub)):
-        return 1 + max(nesting_depth(body.left), nesting_depth(body.right))
-    return 1 + nesting_depth(body)
+    deepest, todo = 0, [(f, 0)]
+    while todo:
+        g, layers = todo.pop()
+        if isinstance(g, _Binary):
+            if isinstance(g, (Imp, Sub)):
+                layers += 1
+            todo += ((g.right, layers), (g.left, layers))
+        elif not isinstance(g, (Atom, _Const)):
+            # a modal operator over an arrow shares the arrow's layer
+            body = g.body
+            todo.append((body, layers if isinstance(body, (Imp, Sub))
+                         else layers + 1))
+        deepest = max(deepest, layers)
+    return deepest
 
 
 @dataclass(frozen=True)
@@ -608,9 +590,9 @@ def _usage(f: Formula) -> _Usage:
     todo = [f]
     while todo:
         g = todo.pop()
-        if isinstance(g, (Atom, Top, Bot)):
+        if isinstance(g, (Atom, _Const)):
             continue
-        if isinstance(g, (And, Or, Imp, Sub)):
+        if isinstance(g, _Binary):
             if isinstance(g, Imp):
                 imp = True
             elif isinstance(g, Sub):
@@ -666,18 +648,34 @@ _DUAL = {Top: Bot, Bot: Top, And: Or, Or: And, Imp: Sub, Sub: Imp,
 def translate(f: Formula) -> Formula:
     """Swap each connective with its order-dual, keeping atoms and
     relation indexes fixed.  Applying it twice gives back the input.
+
+    A walk without recursion that checks each node when it first
+    reaches it and translates a node's arguments one after the other,
+    an arrow's right one first since the arrow swaps them; so the node
+    that raises is the first without a dual in that order.
     """
-    dual = _DUAL.get(type(f))
-    if dual is None:
-        if isinstance(f, Atom):
-            return f
-        if isinstance(f, Ck):
-            raise FragmentError("common knowledge has no order-dual here")
-        raise TypeError(f"not a formula node: {f!r}")
-    if dual is Sub or dual is Imp:
-        return dual(translate(f.right), translate(f.left))
-    if dual is Or or dual is And:
-        return dual(translate(f.left), translate(f.right))
-    if dual is Top or dual is Bot:
-        return dual()
-    return dual(f.index, translate(f.body))
+    done = {}  # id of each node translated -> its dual
+    todo = [f]
+    while todo:
+        g = todo[-1]
+        dual = _DUAL.get(type(g))
+        if dual is None:
+            if isinstance(g, Ck):
+                raise FragmentError("common knowledge has no order-dual here")
+            if not isinstance(g, Atom):
+                raise TypeError(f"not a formula node: {g!r}")
+            args = ()
+        elif isinstance(g, _Binary):
+            args = ((g.right, g.left) if dual is Sub or dual is Imp
+                    else (g.left, g.right))
+        else:
+            args = (g.body,) if isinstance(g, _Modal) else ()
+        missing = [a for a in args if id(a) not in done]
+        if missing:
+            todo.append(missing[0])
+            continue
+        duals = [done[id(a)] for a in args]
+        if isinstance(g, _Modal):
+            duals.insert(0, g.index)
+        done[id(todo.pop())] = g if dual is None else dual(*duals)
+    return done[id(f)]

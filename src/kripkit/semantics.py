@@ -58,7 +58,7 @@ from typing import Iterator
 from . import relations as rel
 from .errors import FlavorError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
-                      Or, Sub, TBox, TDia, Top)
+                      Or, TBox, TDia, Top, _Binary)
 from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, _known,
                     _pair_view)
 
@@ -384,7 +384,7 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
     if isinstance(f, Bot):
         cache[key] = (_EMPTY, 0)
         return _EMPTY
-    if isinstance(f, (And, Or, Imp, Sub)):
+    if isinstance(f, _Binary):
         a = ev(f.left)
         b = ev(f.right)
         if isinstance(f, And):

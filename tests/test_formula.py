@@ -1,10 +1,12 @@
 """Parser, printer and fragment bookkeeping."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
 from kripkit import (Atom, Top, Bot, And, Or, Imp, Sub, Box, Dia, TDia, TBox,
-                     Ck, parse, to_string, atoms_of, connective_count,
+                     Ck, Formula, parse, to_string, atoms_of, connective_count,
                      nesting_depth, Fragment, fragment_of, translate)
 from kripkit.errors import ParseError, FragmentError
 
@@ -255,12 +257,59 @@ def test_deep_chains_hash_without_recursion():
     assert f.body in {f.body}
 
 
+def _chain(depth, leaf):
+    f = leaf
+    for i in range(depth):
+        f = Box(1, f) if i % 3 else Imp(p, f) if i % 2 else And(f, q)
+    return f
+
+
+class _Clash:
+    """Leaves whose hashes all agree but which equal only themselves,
+    so equality cannot answer from the hashes alone."""
+
+    def __hash__(self):
+        return 0
+
+
+def test_deep_chains_compare_and_walk_without_recursion():
+    # at 340 levels == raised RecursionError, and atoms_of,
+    # nesting_depth and translate at 3,000
+    f, twin, other = _chain(3000, r), _chain(3000, r), _chain(3000, Top())
+    assert f is not twin and hash(f) == hash(twin)
+    assert f == twin and not f != twin
+    assert f != other and not f == other
+    x, y = _Clash(), _Clash()
+    g, g_twin, g_other = _chain(3000, x), _chain(3000, x), _chain(3000, y)
+    assert hash(g) == hash(g_twin) == hash(g_other)
+    assert g == g_twin and g != g_other and not g == g_other
+    assert atoms_of(f) == {"p", "q", "r"} and atoms_of(other) == {"p", "q"}
+    # every Imp opens a layer, and a Box does unless it sits on an Imp
+    assert nesting_depth(f) == 2000
+    assert translate(translate(f)) == f
+
+
+NODES = [p, Top(), Bot(), And(p, q), Or(p, q), Imp(p, q), Sub(p, q),
+         Box(1, p), Dia(2, p), TDia(1, p), TBox(3, p), Ck(p)]
+
+
+@pytest.mark.parametrize("node", NODES, ids=lambda f: type(f).__name__)
+def test_hash_and_equality_are_defined_once_on_formula(node):
+    cls = type(node)
+    assert cls.__hash__ is Formula.__hash__ and cls.__eq__ is Formula.__eq__
+    # set and dict orders follow these values
+    values = [getattr(node, fl.name) for fl in dataclasses.fields(node)]
+    assert hash(node) == hash((cls, *values))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.extra = 1
+
+
 def test_equal_trees_built_apart_hash_equal():
     text = "[]1 (p & q -> <|2 r) | C ~q -< -.T"
     assert parse(text) is not parse(text)
     assert hash(parse(text)) == hash(parse(text))
     assert len({parse(text), parse(text)}) == 1
-    assert And(p, q) != Or(p, q)
+    assert And(p, q) != Or(p, q) and Atom("p") != "p"
     assert Box(1, p) != Dia(1, p) and Box(1, p) != Box(2, p)
     assert Top() != Bot() and hash(Top()) == hash(Top())
 

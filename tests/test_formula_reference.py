@@ -3,7 +3,8 @@
 The tokenizer, parser, translate, fragment_of, Fragment.admits and
 random_formula below are kept verbatim from the version that spelled
 each fact about the language out in its own branch chain, before one
-token table, one dual table and one usage walk replaced them.  The
+token table, one dual table and one usage walk replaced them; atoms_of
+and nesting_depth are kept from before they walked with a stack.  The
 current code must give the same trees, the same results and the same
 exceptions (type and text, offsets included) on every input, and
 random_formula must draw the same formulas and leave its Random in the
@@ -395,6 +396,29 @@ def translate(f: Formula) -> Formula:
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def atoms_of(f: Formula) -> frozenset[str]:
+    if isinstance(f, Atom):
+        return frozenset([f.name])
+    if isinstance(f, (Top, Bot)):
+        return frozenset()
+    if isinstance(f, (And, Or, Imp, Sub)):
+        return atoms_of(f.left) | atoms_of(f.right)
+    return atoms_of(f.body)
+
+
+def nesting_depth(f: Formula) -> int:
+    if isinstance(f, (Atom, Top, Bot)):
+        return 0
+    if isinstance(f, (And, Or)):
+        return max(nesting_depth(f.left), nesting_depth(f.right))
+    if isinstance(f, (Imp, Sub)):
+        return 1 + max(nesting_depth(f.left), nesting_depth(f.right))
+    body = f.body
+    if isinstance(body, (Imp, Sub)):
+        return 1 + max(nesting_depth(body.left), nesting_depth(body.right))
+    return 1 + nesting_depth(body)
+
+
 class ReferenceFragment(Fragment):
     def admits(self, f: Formula) -> bool:
         """Whether every connective of f lives inside this fragment.
@@ -593,6 +617,23 @@ def test_non_formulas_raise_the_same_type_error():
     bad = And(p, Or(object(), 3))
     assert outcome(kf.translate, bad) == outcome(translate, bad)
     assert outcome(kf.fragment_of, bad) == outcome(fragment_of, bad)
+    assert outcome(kf.atoms_of, bad) == outcome(atoms_of, bad)
+    assert outcome(kf.nesting_depth, bad) == outcome(nesting_depth, bad)
+    # an arrow translates its right argument first
+    for bad in (Imp(Ck(p), Or(q, 3)), Sub(Box(1, 3), Ck(q))):
+        assert outcome(kf.translate, bad) == outcome(translate, bad)
+
+
+@settings(max_examples=300)
+@given(FORMULAS, FORMULAS)
+def test_atoms_depth_and_equality_match_reference(f, g):
+    assert kf.atoms_of(f) == atoms_of(f)
+    assert kf.nesting_depth(f) == nesting_depth(f)
+    # printing is one-to-one on trees, and a pickled copy shares no node
+    for h in (g, f):
+        copy = pickle.loads(pickle.dumps(h))
+        same = render(f) == render(h)
+        assert (f == copy) is same and (f != copy) is not same
 
 
 def test_random_formula_matches_reference():
