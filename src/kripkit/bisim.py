@@ -39,14 +39,14 @@ of every pair would give.  is_bisimulation reads the same kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from . import relations as rel
 from . import semantics
 from .errors import FlavorError, InternalCheckError, PreconditionError
 from .formula import Fragment
-from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, Partition,
-                    _map_view)
+from .model import (_SHAPES, EK, FS, GPT, H, STANDARD, TENSE, Model,
+                    Partition, _map_view)
 
 _EMPTY = frozenset()
 
@@ -66,22 +66,44 @@ class ConditionSet:
     tboxes: tuple[int, ...] = ()
 
     def clause_names(self) -> tuple[str, ...]:
-        names = ["atoms"]
-        for flag, name in ((self.order_forth, "order_forth"),
-                           (self.order_back, "order_back"),
-                           (self.dual_forth, "dual_forth"),
-                           (self.dual_back, "dual_back")):
-            if flag:
-                names.append(name)
-        for i in self.boxes:
-            names += [f"box{i}_zig", f"box{i}_zag"]
-        for j in self.diamonds:
-            names += [f"dia{j}_zig", f"dia{j}_zag"]
-        for i in self.tdias:
-            names += [f"tdia{i}_zig", f"tdia{i}_zag"]
-        for j in self.tboxes:
-            names += [f"tbox{j}_zig", f"tbox{j}_zag"]
-        return tuple(names)
+        return ("atoms", *(clause for clause, *_ in _clauses(self)))
+
+
+def _clauses(c: ConditionSet) -> Iterator[tuple]:
+    """The clauses of c besides atoms, as (clause, direction, shape,
+    index) in the fixed order; index is None for the order clauses."""
+    for flag, clause, direction, shape in (
+            (c.order_forth, "order_forth", "zig", "imp"),
+            (c.order_back, "order_back", "zag", "imp"),
+            (c.dual_forth, "dual_forth", "zig", "sub"),
+            (c.dual_back, "dual_back", "zag", "sub")):
+        if flag:
+            yield clause, direction, shape, None
+    for shape, indexes in (("box", c.boxes), ("dia", c.diamonds),
+                           ("tdia", c.tdias), ("tbox", c.tboxes)):
+        for i in indexes:
+            for direction in ("zig", "zag"):
+                yield f"{shape}{i}_{direction}", direction, shape, i
+
+
+def _check_counts(frag: Fragment, *models: Model) -> None:
+    """Reject box or diamond counts above what the models store before
+    conditions_for builds one clause index per count, with the message
+    the clause resolution would give.  Only relations a flavor stores
+    any number of (a None count in model._SHAPES) are spelled out per
+    count; the other flavors reject counts above one at once.  The
+    first model's flavor is the one conditions_for reads."""
+    boxes, diamonds = _SHAPES[models[0].flavor]
+    for which, any_number, count in (("box", boxes is None, frag.n_boxes),
+                                     ("dia", diamonds is None,
+                                      frag.m_diamonds)):
+        if any_number and count:
+            stored = min(len(m._box_rows if which == "box" else m._dia_rows)
+                         for m in models)
+            if count > stored:
+                raise FlavorError(
+                    f"clause needs {which} relation {stored + 1} but the "
+                    f"model stores {stored}")
 
 
 def conditions_for(frag: Fragment, flavor: str) -> ConditionSet:
@@ -168,45 +190,21 @@ def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
     if m.flavor != m2.flavor:
         raise PreconditionError(
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
-    tasks: list[tuple] = []
-
-    def add(clause, direction, shape, index=None):
-        tasks.append((clause, direction, shape, index))
-
-    def add_modal(shape, index, which):
-        for model in (m, m2):
-            count = len(model._box_rows if which == "box"
-                        else model._dia_rows)
-            if not 1 <= index <= count:
-                raise FlavorError(
-                    f"clause needs {which} relation {index} but the model "
-                    f"stores {count}")
-        add(f"{shape}{index}_zig", "zig", shape, index)
-        add(f"{shape}{index}_zag", "zag", shape, index)
-
-    if conditions.order_forth:
-        add("order_forth", "zig", "imp")
-    if conditions.order_back:
-        add("order_back", "zag", "imp")
-    if conditions.dual_forth:
-        add("dual_forth", "zig", "sub")
-    if conditions.dual_back:
-        add("dual_back", "zag", "sub")
-    for i in conditions.boxes:
-        add_modal("box", i, "box")
-    for j in conditions.diamonds:
-        add_modal("dia", j, "dia")
-    for i in conditions.tdias:
-        add_modal("tdia", i, "box")
-    for j in conditions.tboxes:
-        add_modal("tbox", j, "dia")
+    tasks = []
+    for task in _clauses(conditions):
+        _, direction, shape, index = task
+        if index is not None and direction == "zig":
+            which = (shape if shape in ("box", "dia")
+                     else semantics._CONVERSE[shape])
+            for model in (m, m2):
+                count = len(model._box_rows if which == "box"
+                            else model._dia_rows)
+                if not 1 <= index <= count:
+                    raise FlavorError(
+                        f"clause needs {which} relation {index} but the "
+                        f"model stores {count}")
+        tasks.append(task)
     return tasks
-
-
-# The table entry that runs along each clause shape's converse: the
-# predecessors of a state under one are its successors under the other.
-_CONVERSE = {"imp": "sub", "sub": "imp", "box": "tdia", "tdia": "box",
-             "dia": "tbox", "tbox": "dia"}
 
 
 class _Kernel:
@@ -282,7 +280,7 @@ class _Kernel:
     def predecessors(self) -> list[tuple[list[int], list[int]]]:
         """The predecessor masks, (left, right), of each distinct table
         entry the clauses read: the successor masks of its converse."""
-        entries = dict.fromkeys((_CONVERSE[shape], index)
+        entries = dict.fromkeys((semantics._CONVERSE[shape], index)
                                 for *_, shape, index in self.clauses)
         return [tuple(semantics._succ_masks(model, *entry)
                       for model in self.models) for entry in entries]

@@ -22,11 +22,10 @@ import sys
 
 from . import bisim as bisim_mod
 from . import distinguish, genframe, sampling, semantics
-from .errors import FlavorError, ToolError
+from .errors import ToolError
 from .formula import Fragment, parse, translate
-from .model import (EK, FLAVORS, STANDARD, Model, _dumps, build_example,
-                    dualize, load_model, model_to_dict, quotient, read_json,
-                    strictify)
+from .model import (FLAVORS, Model, _dumps, build_example, dualize, load_model,
+                    model_to_dict, quotient, read_json, strictify)
 
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
 
@@ -42,28 +41,6 @@ def _emit(obj, output: str | None) -> None:
 
 def _fragment(args) -> Fragment:
     return Fragment(args.fragment, args.boxes, args.diamonds, args.tense)
-
-
-def _check_counts(frag: Fragment, *models: Model) -> None:
-    """Reject --boxes/--diamonds above what the models store before
-    conditions_for builds one clause index per count, with the message
-    the clause resolution would give.  Only standard (boxes and
-    diamonds) and ek (boxes) clause sets are spelled out per count;
-    the other flavors reject counts above one at once.  The first
-    model's flavor is the one conditions_for reads."""
-    flavor = models[0].flavor
-    counts = []
-    if flavor in (STANDARD, EK):
-        counts.append(("box", frag.n_boxes,
-                       [len(m._box_rows) for m in models]))
-    if flavor == STANDARD:
-        counts.append(("dia", frag.m_diamonds,
-                       [len(m._dia_rows) for m in models]))
-    for which, count, stored in counts:
-        if count > min(stored):
-            raise FlavorError(
-                f"clause needs {which} relation {min(stored) + 1} but the "
-                f"model stores {min(stored)}")
 
 
 def _load(path: str, args) -> Model:
@@ -237,7 +214,7 @@ def run(args) -> int:
         right = _load(args.right, args)
         frag = _fragment(args)
         if args.verb != "oracle":
-            _check_counts(frag, left, right)
+            bisim_mod._check_counts(frag, left, right)
         if args.verb == "bisim":
             conditions = bisim_mod.conditions_for(frag, left.flavor)
             pairs, trace = bisim_mod.greatest_bisimulation(left, right,
@@ -280,7 +257,7 @@ def run(args) -> int:
     if args.verb == "quotient":
         m = _load(args.model, args)
         frag = _fragment(args)
-        _check_counts(frag, m)
+        bisim_mod._check_counts(frag, m)
         conditions = bisim_mod.conditions_for(frag, m.flavor)
         partition = bisim_mod.bisimilarity_partition(m, conditions)
         qm, mapping = quotient(m, partition, conditions=conditions)

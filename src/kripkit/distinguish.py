@@ -49,8 +49,8 @@ from functools import reduce
 from typing import Iterable
 
 from . import semantics
-from .bisim import (ConditionSet, conditions_for, greatest_bisimulation,
-                    resolved_tasks)
+from .bisim import (ConditionSet, _check_counts, conditions_for,
+                    greatest_bisimulation, resolved_tasks)
 from .errors import InternalCheckError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Dia, Formula, Fragment, Imp, Or,
                       Sub, TBox, TDia, Top, connective_count, to_string)
@@ -58,6 +58,11 @@ from .model import Model, require_valid
 from .relations import _bits
 
 _EMPTY = frozenset()
+
+# The empty conjunction and disjunction, built once, so that equal
+# witnesses share these leaves and comparing them is an identity check.
+_TOP = Top()
+_BOT = Bot()
 
 # The operator each modal clause shape puts around its witness core;
 # the arrow shapes "imp" and "sub" use the core as it is.
@@ -119,8 +124,17 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
     if m.flavor != m2.flavor:
         raise PreconditionError(
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
-    conditions = conditions_for(frag, m.flavor)
+    # A clause set's shapes, and the errors conditions_for raises,
+    # depend on each count only up to 2, so witnessability is checked on
+    # the clause set of a capped fragment; the counts are checked against
+    # the models before a larger clause set is built, one index per count.
+    capped = Fragment(frag.base, min(frag.n_boxes, 2),
+                      min(frag.m_diamonds, 2), frag.tense)
+    conditions = conditions_for(capped, m.flavor)
     _check_witnessable(conditions, frag)
+    _check_counts(frag, m, m2)
+    if capped != frag:
+        conditions = conditions_for(frag, m.flavor)
     require_valid(m, "synthesize")
     require_valid(m2, "synthesize")
     modal_clauses = (conditions.boxes or conditions.diamonds
@@ -173,8 +187,8 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                     true_at_t.append(w.formula)
                 else:
                     true_at_cover.append(w.formula)
-            phi = _fold(And, _dedup_and_sort(true_at_t, m, m2), Top())
-            psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), Bot())
+            phi = _fold(And, _dedup_and_sort(true_at_t, m, m2), _TOP)
+            psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), _BOT)
             if shape in ("imp", "box", "tbox"):
                 core = psi if isinstance(phi, Top) else Imp(phi, psi)
                 orientation = "right" if owner == "left" else "left"

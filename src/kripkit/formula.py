@@ -50,7 +50,7 @@ class Formula:
     node's hash, hash((its class, *its fields)), is stored when it is
     built; so hashing costs O(1) at any depth.  Equality walks both
     trees with a stack and stops at the first pair of nodes whose
-    hashes differ.  Only printing and evaluation recurse over the tree.
+    hashes differ.  Only evaluation recurses over the tree.
 
     connective_count and to_string remember their answers in one
     attribute outside the dataclass fields, _memo: the connective
@@ -269,10 +269,10 @@ def _tokenize(text: str) -> list[_Token]:
 
 # The deepest formula parse accepts: at most this many edges from the
 # root to a leaf, and at most this many nested parentheses.  Parsing
-# recurses twice per parenthesis, printing once per level and
-# evaluating twice per level (truth_set and its helper for children),
-# against the default recursion limit of 1000.  Hashing, comparing,
-# translating and the structural measures walk with a stack.  300
+# recurses twice per parenthesis and evaluating twice per level
+# (truth_set and its helper for children), against the default
+# recursion limit of 1000.  Hashing, comparing, printing, translating
+# and the structural measures walk with a stack.  300
 # leaves room for a caller's stack some 60 frames deep, and 150 levels
 # of "[]1 (...) & q" are 300 deep.
 MAX_DEPTH = 300
@@ -401,7 +401,21 @@ def parse(text: str) -> Formula:
 # ---------------------------------------------------------------------------
 # Printing
 
-_PRECEDENCE = {And: 3, Or: 2, Imp: 1, Sub: 1}
+class _Text(str):
+    """Text on the printer's stack, which a node's own fields, say a str
+    where a formula belongs, are never taken for."""
+
+
+_OPEN, _CLOSE = _Text("("), _Text(")")
+# Each binary connective's symbol and the classes printed in
+# parentheses as its left and right argument: those that bind more
+# loosely (& before |, | before the arrows), and in an arrow chain the
+# other arrow, since the parser refuses mixed chains.  A prefix
+# operator wraps every binary connective.
+_BINARY_LAYOUT = {And: (_Text(" & "), {Or, Imp, Sub}, {And, Or, Imp, Sub}),
+                  Or: (_Text(" | "), {Imp, Sub}, {Or, Imp, Sub}),
+                  Imp: (_Text(" -> "), {Imp, Sub}, {Sub}),
+                  Sub: (_Text(" -< "), {Imp}, {Imp, Sub})}
 
 
 def to_string(f: Formula) -> str:
@@ -413,43 +427,53 @@ def to_string(f: Formula) -> str:
     memo = getattr(f, "_memo", None)
     if type(memo) is tuple:
         return memo[1]
-    text = _render(f, 0, None)
+    text = _render(f)
     _set(f, "_memo", (connective_count(f), text))
     return text
 
 
-def _render(f: Formula, floor: int, arrow_ctx: type | None) -> str:
-    prec = _PRECEDENCE.get(type(f), 4)
-    # a stored text is f unparenthesised; the context below adds them
-    memo = getattr(f, "_memo", None)
-    if type(memo) is tuple:
-        out = memo[1]
-    elif isinstance(f, Atom):
-        out = f.name
-    elif isinstance(f, Top):
-        out = "T"
-    elif isinstance(f, Bot):
-        out = "F"
-    elif isinstance(f, And):
-        out = f"{_render(f.left, 3, None)} & {_render(f.right, 4, None)}"
-    elif isinstance(f, Or):
-        out = f"{_render(f.left, 2, None)} | {_render(f.right, 3, None)}"
-    elif isinstance(f, Imp):
-        out = f"{_render(f.left, 2, None)} -> {_render(f.right, 1, Imp)}"
-    elif isinstance(f, Sub):
-        out = f"{_render(f.left, 1, Sub)} -< {_render(f.right, 2, None)}"
-    elif isinstance(f, _Modal):
-        out = f"{_MODAL_SYMBOL[type(f)]}{f.index} {_render(f.body, 4, None)}"
-    elif isinstance(f, Ck):
-        out = f"C {_render(f.body, 4, None)}"
-    else:
-        raise TypeError(f"not a formula node: {f!r}")
-    # Parenthesize when binding too loosely for the context, and when
-    # sitting in an arrow chain of the other arrow (the parser refuses
-    # mixed chains).
-    if prec < floor or (prec == 1 and floor == 1 and type(f) is not arrow_ctx):
-        return f"({out})"
-    return out
+def _render(f: Formula) -> str:
+    """f's text, printed without recursion: the walk follows left or
+    only children at once and stacks what comes after them, text and
+    right children."""
+    out: list[str] = []
+    todo: list = [f]
+    while todo:
+        g = todo.pop()
+        if type(g) is _Text:
+            out.append(g)
+            continue
+        while True:
+            # a stored text is g unparenthesised
+            memo = getattr(g, "_memo", None)
+            if type(memo) is tuple:
+                out.append(memo[1])
+                break
+            if isinstance(g, Atom):
+                out.append(g.name)
+                break
+            if isinstance(g, _Const):
+                out.append("T" if isinstance(g, Top) else "F")
+                break
+            if isinstance(g, _Binary):
+                symbol, wrapped, right_wrapped = _BINARY_LAYOUT[type(g)]
+                right = g.right
+                if type(right) in right_wrapped:
+                    todo += (_CLOSE, right, _OPEN, symbol)
+                else:
+                    todo += (right, symbol)
+                child = g.left
+            elif isinstance(g, (_Modal, Ck)):
+                out.append(f"{_MODAL_SYMBOL[type(g)]}{g.index} "
+                           if isinstance(g, _Modal) else "C ")
+                wrapped, child = _BINARY_LAYOUT, g.body
+            else:
+                raise TypeError(f"not a formula node: {g!r}")
+            if type(child) in wrapped:
+                out.append("(")
+                todo.append(_CLOSE)
+            g = child
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

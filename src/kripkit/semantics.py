@@ -25,13 +25,16 @@ positive transitive closure of the union; pass ck_reflexive=True for
 the reflexive variant).
 
 Each model keeps one successor table, built entry by entry on first
-request from the model's bit rows (see model and relations): an
-operator class keys the effective relation above, so that choice is
-made here only, and a bisim clause shape keys the stored relation
-that clause reads.  Every entry is a list of successor masks, one per
-state.  A stored relation's entry is the model's own rows, at no cost;
-a converse is a transpose, one step per pair; a composition ORs one
-row per pair of its left factor; and C's closure is Warshall's on the
+request from the model's bit rows (see model and relations).  A bisim
+clause shape keys the stored relation that clause reads: "imp" is ≤,
+"box" and "dia" are stored relation i, and "sub", "tdia" and "tbox"
+are their converses.  An operator class keys its effective relation,
+which _EFFECTIVE holds as the table above, each cell a product of
+clause shapes composed left to right, so that choice is made here
+only.  Every entry is a list of successor masks, one per state.  A
+stored relation's entry is the model's own rows, at no cost; a
+converse is a transpose, one step per pair; a composition ORs one row
+per pair of its left factor; and C's closure is Warshall's on the
 union of the rows.  truth_set, semantic_operator, the refinement, the
 oracle and genframe all read these masks.  Frozensets appear only
 where the public API returns them: the relation readers below and
@@ -58,7 +61,7 @@ from typing import Iterator
 from . import relations as rel
 from .errors import FlavorError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Ck, Dia, Formula, Fragment, Imp,
-                      Or, TBox, TDia, Top, _Binary)
+                      Or, TBox, TDia, Top, _Binary, _MODAL_SYMBOL)
 from .model import (EK, FS, GPT, H, STANDARD, TENSE, Model, _known,
                     _pair_view)
 
@@ -81,64 +84,29 @@ def left_converse(r: frozenset, m: Model) -> frozenset:
     for a, b in r:
         if a in index and b in index:
             rows[index[a]] |= 1 << index[b]
-    return _pair_view(m.states, _left_converse(m, rows))
-
-
-def _left_converse(m: Model, rows: list[int]) -> list[int]:
     geq = _succ_masks(m, "sub")
-    return rel._compose_rows(rel._compose_rows(geq, rows), geq)
+    return _pair_view(m.states, reduce(rel._compose_rows, (geq, rows, geq)))
 
 
-def _stored_box(m: Model, index: int) -> list[int]:
-    if not 1 <= index <= len(m._box_rows):
-        raise FlavorError(
-            f"model has no box relation {index} (flavor {m.flavor!r} "
-            f"stores {len(m._box_rows)})")
-    return m._box_rows[index - 1]
+# Each clause shape's converse: the predecessors of a state under one
+# are its successors under the other.
+_CONVERSE = {"imp": "sub", "box": "tdia", "dia": "tbox"}
+_CONVERSE.update({back: shape for shape, back in _CONVERSE.items()})
 
-
-def _stored_dia(m: Model, index: int) -> list[int]:
-    if not 1 <= index <= len(m._dia_rows):
-        raise FlavorError(
-            f"model has no diamond relation {index} (flavor {m.flavor!r} "
-            f"stores {len(m._dia_rows)})")
-    return m._dia_rows[index - 1]
-
-
-def _box(m: Model, index: int) -> list[int]:
-    if m.flavor in (STANDARD, TENSE, H, EK):
-        return _stored_box(m, index)
-    if m.flavor in (FS, GPT):
-        return rel._compose_rows(m._leq_rows, _stored_box(m, index))
-    raise FlavorError(f"flavor {m.flavor!r} does not interpret []")
-
-
-def _dia(m: Model, index: int) -> list[int]:
-    if m.flavor in (STANDARD, GPT, TENSE):
-        return _stored_dia(m, index)
-    if m.flavor == FS:
-        return _stored_box(m, index)
-    if m.flavor == H:
-        return _left_converse(m, _stored_box(m, index))
-    raise FlavorError(f"flavor {m.flavor!r} does not interpret <>")
-
-
-def _back_dia(m: Model, index: int) -> list[int]:
-    if m.flavor in (GPT, TENSE, H):
-        return _succ_masks(m, "tdia", index)
-    raise FlavorError(f"flavor {m.flavor!r} does not interpret <|")
-
-
-def _back_box(m: Model, index: int) -> list[int]:
-    if m.flavor == TENSE:
-        return _succ_masks(m, "tbox", index)
-    if m.flavor == GPT:
-        return rel._compose_rows(m._leq_rows, _succ_masks(m, "tbox", index))
-    if m.flavor == H:
-        return rel._compose_rows(
-            rel._compose_rows(m._leq_rows, _succ_masks(m, "tdia", index)),
-            m._leq_rows)
-    raise FlavorError(f"flavor {m.flavor!r} does not interpret |>")
+# Each flavor's effective relations, the module docstring's table: the
+# clause shapes composed left to right, R being "box", S "dia", ≤
+# "imp", ≥ "sub", R̆ "tdia" and S̆ "tbox".  A missing operator is a "-"
+# cell.
+_EFFECTIVE = {
+    STANDARD: {Box: ("box",), Dia: ("dia",)},
+    FS: {Box: ("imp", "box"), Dia: ("box",)},
+    GPT: {Box: ("imp", "box"), Dia: ("dia",), TDia: ("tdia",),
+          TBox: ("imp", "tbox")},
+    TENSE: {Box: ("box",), Dia: ("dia",), TDia: ("tdia",), TBox: ("tbox",)},
+    H: {Box: ("box",), Dia: ("sub", "box", "sub"), TDia: ("tdia",),
+        TBox: ("imp", "tdia", "imp")},
+    EK: {Box: ("box",)},
+}
 
 
 def _ck(m: Model, reflexive: bool) -> list[int]:
@@ -151,16 +119,6 @@ def _ck(m: Model, reflexive: bool) -> list[int]:
     return rows
 
 
-# How each table key builds its entry from a model and an index: the
-# operator classes their effective relations, the clause shapes their
-# stored ones.
-_ENTRIES = {Box: _box, Dia: _dia, TDia: _back_dia, TBox: _back_box, Ck: _ck,
-            "imp": lambda m, _: m._leq_rows,
-            "sub": lambda m, _: rel._transpose(m._leq_rows),
-            "box": _stored_box, "dia": _stored_dia,
-            "tdia": lambda m, i: rel._transpose(_stored_box(m, i)),
-            "tbox": lambda m, i: rel._transpose(_stored_dia(m, i))}
-
 # Each modal operator's clause: whether it reads all successors, like
 # a box, and so preserves intersections; the others read some
 # successor and preserve unions.
@@ -170,12 +128,35 @@ _MODAL = {Box: True, Dia: False, TDia: False, TBox: True, Ck: True}
 def _succ_masks(m: Model, key, index=None) -> list[int]:
     """Table entry (key, index) as successor masks, one per state: the
     effective relation of operator key (a key of _MODAL), with
-    ck_reflexive for index on Ck, or the stored one of clause shape key.
-    Built once per model; a FlavorError is raised on every request the
-    model cannot interpret."""
+    ck_reflexive for index on Ck, or the stored one of clause shape key
+    ("imp" and "sub" with index None).  Built once per model; a
+    FlavorError is raised on every request the model cannot
+    interpret."""
     masks = m._succ_table.get((key, index))
-    if masks is None:
-        masks = m._succ_table[key, index] = _ENTRIES[key](m, index)
+    if masks is not None:
+        return masks
+    if key is Ck:
+        masks = _ck(m, index)
+    elif key == "imp":
+        masks = m._leq_rows
+    elif key in ("box", "dia"):
+        rows, name = ((m._box_rows, "box") if key == "box"
+                      else (m._dia_rows, "diamond"))
+        if not 1 <= index <= len(rows):
+            raise FlavorError(
+                f"model has no {name} relation {index} (flavor "
+                f"{m.flavor!r} stores {len(rows)})")
+        masks = rows[index - 1]
+    elif key in _CONVERSE:
+        masks = rel._transpose(_succ_masks(m, _CONVERSE[key], index))
+    elif (shapes := _EFFECTIVE[m.flavor].get(key)) is not None:
+        masks = reduce(rel._compose_rows,
+                       [_succ_masks(m, shape, None if shape in ("imp", "sub")
+                                    else index) for shape in shapes])
+    else:
+        raise FlavorError(f"flavor {m.flavor!r} does not interpret "
+                          f"{_MODAL_SYMBOL[key]}")
+    m._succ_table[key, index] = masks
     return masks
 
 

@@ -1,5 +1,6 @@
 """Clause sets, refinement, and the resulting fixpoints."""
 
+import itertools
 import random
 
 import pytest
@@ -204,3 +205,32 @@ def test_self_bisimilarity_is_an_equivalence(seed):
     fix, _ = greatest_bisimulation(m, m, conds)
     assert {(s, s) for s in m.states} <= fix
     assert {(b, a) for (a, b) in fix} == fix
+
+
+def test_clause_names_list_the_resolved_clauses():
+    m = random_model(random.Random(5), "standard", n_states=3, n_boxes=2,
+                     n_diamonds=2)
+    modal = [((), (), (), ()), ((1,), (), (), ()), ((), (2,), (), (1,)),
+             ((2, 1), (1,), (1, 2), (2,))]
+    for flags in itertools.product((False, True), repeat=4):
+        for boxes, diamonds, tdias, tboxes in modal:
+            c = ConditionSet(*flags, boxes=boxes, diamonds=diamonds,
+                             tdias=tdias, tboxes=tboxes)
+            assert c.clause_names() == (
+                "atoms", *[t.clause for t in resolved_tasks(c, m, m)])
+    assert c.clause_names() == (
+        "atoms", "order_forth", "order_back", "dual_forth", "dual_back",
+        "box2_zig", "box2_zag", "box1_zig", "box1_zag", "dia1_zig",
+        "dia1_zag", "tdia1_zig", "tdia1_zag", "tdia2_zig", "tdia2_zag",
+        "tbox2_zig", "tbox2_zag")
+    # counts are checked in clause order, the left model first
+    small = random_model(random.Random(6), "standard", n_states=3)
+    for c, m1, m2, message in (
+            (ConditionSet(diamonds=(2,), tdias=(3,)), m, small,
+             "dia relation 2 but the model stores 0"),
+            (ConditionSet(boxes=(1,), tboxes=(3,)), small, m,
+             "dia relation 3 but the model stores 0"),
+            (ConditionSet(tdias=(2, 3), tboxes=(3,)), m, m,
+             "box relation 3 but the model stores 2")):
+        with pytest.raises(FlavorError, match=f"clause needs {message}$"):
+            resolved_tasks(c, m1, m2)

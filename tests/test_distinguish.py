@@ -82,6 +82,24 @@ def test_witnessability_preconditions():
         synthesize(WEDGE_STRICT, WEDGE_STRICT, Fragment("intdual", 1, 0))
     with pytest.raises(PreconditionError):
         synthesize(WEDGE_STRICT, WEDGE_STRICT, Fragment("int", 0, 1))
+    # the clause set's own errors come first
+    fs = random_model(random.Random(3), "fs", n_states=4, strict=True)
+    with pytest.raises(FlavorError, match="one relation per modality"):
+        synthesize(fs, fs, Fragment("intdual", 2, 0))
+
+
+def test_synthesize_rejects_a_huge_count_before_building_anything():
+    # a clause set with one index per count once took 40 MB here
+    left, right = build_example("spines", (3,)), build_example("spines", (4,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FlavorError, match="^clause needs box relation 2 "
+                           "but the model stores 1$"):
+            synthesize(left, right, Fragment("int", 10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_fs_int_with_both_modalities_is_witnessable():

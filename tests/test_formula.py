@@ -289,6 +289,27 @@ def test_deep_chains_compare_and_walk_without_recursion():
     assert translate(translate(f)) == f
 
 
+def test_deep_chains_print_without_recursion():
+    # at 1,000 levels str raised RecursionError
+    f = p
+    for _ in range(3000):
+        f = Box(1, f)
+    assert str(f) == "[]1 " * 3000 + "p"
+    # printed at once, a chain reads as a twin printed in stages of 200
+    # levels, each stage reusing the text stored on the one below
+    g, twin = _chain(3000, r), _chain(3000, r)
+    stages = []
+    while twin is not r:
+        stages.append(twin)
+        twin = (twin.body if isinstance(twin, Box) else
+                twin.right if isinstance(twin, Imp) else twin.left)
+    for stage in stages[::-200]:
+        str(stage)
+    text = str(g)
+    assert text == str(stages[0])
+    assert text.count("(") == text.count(")") == 1000
+
+
 NODES = [p, Top(), Bot(), And(p, q), Or(p, q), Imp(p, q), Sub(p, q),
          Box(1, p), Dia(2, p), TDia(1, p), TBox(3, p), Ck(p)]
 

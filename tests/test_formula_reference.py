@@ -619,6 +619,10 @@ def test_non_formulas_raise_the_same_type_error():
     assert outcome(kf.fragment_of, bad) == outcome(fragment_of, bad)
     assert outcome(kf.atoms_of, bad) == outcome(atoms_of, bad)
     assert outcome(kf.nesting_depth, bad) == outcome(nesting_depth, bad)
+    # printing names the first bad child from the left, also a str one
+    for bad in (bad, And(And(p, "q"), 3), Imp(Box(1, 3), "q"),
+                Or(Ck("q"), 3)):
+        assert outcome(kf.to_string, bad) == outcome(render, bad)
     # an arrow translates its right argument first
     for bad in (Imp(Ck(p), Or(q, 3)), Sub(Box(1, 3), Ck(q))):
         assert outcome(kf.translate, bad) == outcome(translate, bad)

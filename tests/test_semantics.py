@@ -1,6 +1,7 @@
 """Truth sets across the evaluation flavors."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ import kripkit.relations as rel
 import test_relations_reference as ref
 from kripkit import Model, build_example, parse, semantics
 from kripkit.errors import FlavorError, ModelFormatError, PreconditionError
+from kripkit.formula import _MODAL_SYMBOL, Box, Dia, TBox, TDia
+from kripkit.model import _SHAPES
 from kripkit.sampling import random_formula, random_model
 from kripkit.semantics import (back_box_relation, back_dia_relation,
                                box_relation, ck_relation, dia_relation,
@@ -428,3 +431,35 @@ def test_stored_entries_and_their_masks():
             for i in range(len(m.states)):
                 assert all((masks[i] >> j & 1) == (back[j] >> i & 1)
                            for j in range(len(m.states)))
+
+
+# The docstring table's factors as clause shapes, and its columns.
+_FACTORS = {"R": "box", "S": "dia", "≤": "imp", "≥": "sub",
+            "R\u0306": "tdia", "S\u0306": "tbox"}
+_COLUMNS = (Box, Dia, TDia, TBox)
+_READERS = {Box: box_relation, Dia: dia_relation, TDia: back_dia_relation,
+            TBox: back_box_relation}
+
+
+def test_effective_relations_are_the_docstring_table():
+    lines = semantics.__doc__.splitlines()
+    head = next(i for i, line in enumerate(lines)
+                if line.split()[:1] == ["flavor"])
+    rows = [line.split() for line in lines[head + 1:head + 7]]
+    assert [row[0] for row in rows] == list(semantics._EFFECTIVE)
+    for flavor, *cells in rows:
+        m = random_model(random.Random(flavor), flavor, n_states=4,
+                         n_diamonds=int(_SHAPES[flavor][1] != 0))
+        effective = semantics._EFFECTIVE[flavor]
+        assert set(effective) == {op for op, cell in zip(_COLUMNS, cells)
+                                  if cell != "-"}
+        for op, cell in zip(_COLUMNS, cells):
+            if cell != "-":
+                assert effective[op] == tuple(
+                    _FACTORS[factor.split("_")[0]]
+                    for factor in cell.split("∘")), (flavor, op)
+                continue
+            message = (f"flavor {flavor!r} does not interpret "
+                       f"{re.escape(_MODAL_SYMBOL[op])}$")
+            with pytest.raises(FlavorError, match=message):
+                _READERS[op](m, 1)
