@@ -213,9 +213,8 @@ def run(args) -> int:
         left = _load(args.left, args)
         right = _load(args.right, args)
         frag = _fragment(args)
-        if args.verb != "oracle":
-            bisim_mod._check_counts(frag, left, right)
         if args.verb == "bisim":
+            bisim_mod._check_counts(frag, left, right)
             conditions = bisim_mod.conditions_for(frag, left.flavor)
             pairs, trace = bisim_mod.greatest_bisimulation(left, right,
                                                            conditions)

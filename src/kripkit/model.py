@@ -110,12 +110,13 @@ class Model:
             raise ModelFormatError("state names must be nonempty strings")
         self.states: tuple[str, ...] = tuple(sorted(states))
         index = self._index = {x: i for i, x in enumerate(self.states)}
+        bit = {x: 1 << i for x, i in index.items()}
 
         def rows(pairs, what) -> list[int]:
             out = [0] * len(index)
             for a, b in map(tuple, pairs):
                 try:
-                    out[index[a]] |= 1 << index[b]
+                    out[index[a]] |= bit[b]
                 except KeyError:
                     raise ModelFormatError(
                         f"{what} mentions unknown state in ({a}, {b})") \
@@ -167,7 +168,7 @@ class Model:
         reflexively and transitively over the carrier, on the rows."""
         m = cls(states, leq_gen, boxes, diamonds, valuation, flavor)
         rows = m._leq_rows
-        rel._close_rows(rows, rel._transpose(rows))
+        rel._close_rows(rows)
         for i in range(len(rows)):
             rows[i] |= 1 << i
         return m
@@ -297,55 +298,74 @@ class Partition:
 # Validation
 
 
-def _inclusion_witness(parts: Sequence[frozenset], target: frozenset):
-    """First composition path through `parts` whose endpoints are not
-    in `target`, or None.  The path includes every intermediate state,
-    so a two-relation condition yields (x, u, y)."""
-    paths: list[tuple[str, ...]] = [pair for pair in sorted(parts[0])]
-    for part in parts[1:]:
-        succ = rel.successors(part)
-        paths = [path + (c,)
-                 for path in paths
-                 for c in sorted(succ.get(path[-1], ()))]
-    for path in paths:
-        if (path[0], path[-1]) not in target:
-            return path
+def _inclusion_witness(m: Model, parts: Sequence[list[int]],
+                       target: Iterable[tuple[str, str]]):
+    """First composition path, in sorted order, through the relations
+    whose rows are `parts` whose endpoints are not in `target`, or
+    None.  The path includes every intermediate state, so a
+    two-relation condition yields (x, u, y).
+
+    The inclusion is tested on rows, in memory quadratic in the
+    states.  Only a failure is searched for its path: from the least
+    state x whose composite row leaves target, each step takes the
+    least successor from which the rest of the path still reaches a
+    state y with (x, y) outside target."""
+    index = m._index
+    allowed = [0] * len(index)
+    for a, b in target:
+        allowed[index[a]] |= 1 << index[b]
+    # reach[j] holds the rows of parts[j] ∘ ... ∘ parts[-1]
+    reach = [parts[-1]]
+    for part in reversed(parts[:-1]):
+        reach.insert(0, rel._compose_rows(part, reach[0]))
+    for x, row in enumerate(reach[0]):
+        bad = row & ~allowed[x]
+        if bad:
+            path = [x]
+            for part, rest in zip(parts, reach[1:]):
+                path.append(next(u for u in rel._bits(part[path[-1]])
+                                 if rest[u] & bad))
+            path.append(next(rel._bits(parts[-1][path[-1]] & bad)))
+            return tuple(m.states[i] for i in path)
     return None
 
 
 def _coherence_violations(m: Model) -> list[Violation]:
     leq, geq = m.leq, m.geq
+    up, down = m._leq_rows, rel._transpose(m._leq_rows)
     out: list[Violation] = []
 
     def need(axiom, parts, target):
-        w = _inclusion_witness(parts, target)
+        w = _inclusion_witness(m, parts, target)
         if w is not None:
             out.append(Violation(axiom, w))
 
     if m.flavor == STANDARD:
-        for i, r in enumerate(m.boxes, 1):
-            need(f"box-{i}-coherence", [leq, r], rel.compose(r, leq))
-        for j, s in enumerate(m.diamonds, 1):
-            need(f"diamond-{j}-coherence", [geq, s], rel.compose(s, geq))
+        for i, (r, rows) in enumerate(zip(m.boxes, m._box_rows), 1):
+            need(f"box-{i}-coherence", [up, rows], rel.compose(r, leq))
+        for j, (s, rows) in enumerate(zip(m.diamonds, m._dia_rows), 1):
+            need(f"diamond-{j}-coherence", [down, rows], rel.compose(s, geq))
     elif m.flavor == FS:
-        r = m.boxes[0]
-        need("fs-forward-coherence", [r, leq], rel.compose(leq, r))
-        need("fs-backward-coherence", [geq, r], rel.compose(r, geq))
+        r, rows = m.boxes[0], m._box_rows[0]
+        need("fs-forward-coherence", [rows, up], rel.compose(leq, r))
+        need("fs-backward-coherence", [down, rows], rel.compose(r, geq))
     elif m.flavor == GPT:
         r, s = m.boxes[0], m.diamonds[0]
-        need("gpt-box-coherence", [r, leq], rel.compose(leq, r))
-        need("gpt-diamond-coherence", [geq, s], rel.compose(s, geq))
+        r_rows, s_rows = m._box_rows[0], m._dia_rows[0]
+        need("gpt-box-coherence", [r_rows, up], rel.compose(leq, r))
+        need("gpt-diamond-coherence", [down, s_rows], rel.compose(s, geq))
     elif m.flavor == TENSE:
         r, s = m.boxes[0], m.diamonds[0]
-        need("tense-box-equality", [leq, r], rel.compose(r, leq))
-        need("tense-box-equality", [r, leq], rel.compose(leq, r))
-        need("tense-diamond-equality", [geq, s], rel.compose(s, geq))
-        need("tense-diamond-equality", [s, geq], rel.compose(geq, s))
+        r_rows, s_rows = m._box_rows[0], m._dia_rows[0]
+        need("tense-box-equality", [up, r_rows], rel.compose(r, leq))
+        need("tense-box-equality", [r_rows, up], rel.compose(leq, r))
+        need("tense-diamond-equality", [down, s_rows], rel.compose(s, geq))
+        need("tense-diamond-equality", [s_rows, down], rel.compose(geq, s))
     elif m.flavor == H:
-        need("h-condensation", [leq, m.boxes[0], leq], m.boxes[0])
+        need("h-condensation", [up, m._box_rows[0], up], m.boxes[0])
     elif m.flavor == EK:
-        for i, r in enumerate(m.boxes, 1):
-            need(f"ek-box-{i}-absorption", [leq, r], r)
+        for i, (r, rows) in enumerate(zip(m.boxes, m._box_rows), 1):
+            need(f"ek-box-{i}-absorption", [up, rows], r)
     return out
 
 

@@ -18,6 +18,21 @@ appear only at the boundary, when a result is returned: _row_pairs
 walks each row's set bits, one step per pair, and _names reads a mask
 into state names, bit by bit when it is sparse and off its binary
 digits otherwise.
+
+Each of the three row primitives picks its method from what its input
+shows, whether the square rows hold at least a quarter of all pairs
+(_dense).  A method that walks set bits costs a step per pair, one
+that works a row or a digit at a time costs a step per cell at most,
+and at a quarter the second is already the cheaper:
+
+    _transpose     dense: fixed-width binary strings transposed by zip;
+                   sparse: one step per set bit
+    _close_rows    dense: Warshall a whole row list per state;
+                   sparse: the column-guided walk, which visits only
+                   the rows that reach each state
+    _compose_rows  dense: each distinct row composed once (the states
+                   of a cluster of the order share their rows);
+                   sparse: every row walked where it stands
 """
 
 from __future__ import annotations
@@ -81,22 +96,49 @@ def _row_pairs(rows: Iterable[tuple[str, int]],
             yield a, names[k]
 
 
+def _dense(rows: list[int]) -> bool:
+    """Whether square rows hold at least a quarter of all pairs: the
+    one observation each row primitive below picks its method by."""
+    return sum(map(int.bit_count, rows)) * 4 >= len(rows) ** 2
+
+
+def _image(row: int, s: list[int]) -> int:
+    """The OR of s's rows at the set bits of row."""
+    acc = 0
+    while row:
+        low = row & -row
+        acc |= s[low.bit_length() - 1]
+        row ^= low
+    return acc
+
+
 def _compose_rows(r: list[int], s: list[int]) -> list[int]:
-    """Rows of the composition, first r then s, over one numbering."""
-    out = []
-    for row in r:
-        acc = 0
-        while row:
-            low = row & -row
-            acc |= s[low.bit_length() - 1]
-            row ^= low
-        out.append(acc)
-    return out
+    """Rows of the composition, first r then s, over one numbering.
+    Dense rows repeat (the states of a cluster of the order share
+    their row in it and in every relation that absorbs it), so each
+    distinct one is composed once; a sparse row is walked where it
+    stands, since hashing it would cost more than its few bits."""
+    if _dense(r):
+        images = {row: _image(row, s) for row in set(r)}
+        return list(map(images.__getitem__, r))
+    return [_image(row, s) for row in r]
 
 
 def _transpose(rows: list[int]) -> list[int]:
-    """Rows of the converse: bit i of entry j where rows[i] has bit j."""
-    out = [0] * len(rows)
+    """Rows of the converse: bit i of entry j where rows[i] has bit j.
+    Dense square rows are written out as fixed-width binary strings
+    and transposed with zip, a cost per cell at C speed; sparse ones
+    are walked one set bit at a time, a cost per pair."""
+    n = len(rows)
+    if _dense(rows):
+        width = f"0{n}b"
+        # the digits of row i, last row first, so that the column of
+        # digit j reads as the binary numeral of entry n - 1 - j
+        digits = [format(row, width) for row in reversed(rows)]
+        out = [int("".join(column), 2) for column in zip(*digits)]
+        out.reverse()
+        return out
+    out = [0] * n
     for i, row in enumerate(rows):
         bit = 1 << i
         for j in _bits(row):
@@ -104,13 +146,20 @@ def _transpose(rows: list[int]) -> list[int]:
     return out
 
 
-def _close_rows(rows: list[int], cols: list[int]) -> None:
-    """Close rows transitively in place, by Warshall's algorithm ("A
-    theorem on Boolean matrices", J. ACM 1962): for each state k in
-    turn, every state that reaches k takes in the targets of k.  cols
-    must be the transpose of rows and is kept in step, so that state k
-    visits only the rows that reach it and a sparse relation costs far
-    less than n^2 steps."""
+def _close_rows(rows: list[int]) -> None:
+    """Close square rows transitively in place, by Warshall's
+    algorithm ("A theorem on Boolean matrices", J. ACM 1962): for each
+    state k in turn, every state that reaches k takes in the targets of
+    k.  Dense rows take this a whole list at a time, n list passes of
+    one test each.  Sparse rows keep the columns (the transpose) in
+    step, so that state k visits only the rows that reach it and a
+    relation such as a long chain costs far less than n^2 steps."""
+    if _dense(rows):
+        for k in range(len(rows)):
+            row_k, bit = rows[k], 1 << k
+            rows[:] = [row | row_k if row & bit else row for row in rows]
+        return
+    cols = _transpose(rows)
     for k in range(len(rows)):
         row_k, col_k = rows[k], cols[k]
         if row_k and col_k:
@@ -163,7 +212,7 @@ def transitive_closure(rels: Iterable[Iterable[Pair]],
             j = number.setdefault(b, len(number))
             targets[i] = targets.get(i, 0) | 1 << j
     rows = [targets.get(i, 0) for i in range(len(number))]
-    _close_rows(rows, _transpose(rows))
+    _close_rows(rows)
     names = list(number)
     closed = _row_pairs(zip(names, rows), names)
     if not reflexive:

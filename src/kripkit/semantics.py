@@ -33,13 +33,16 @@ which _EFFECTIVE holds as the table above, each cell a product of
 clause shapes composed left to right, so that choice is made here
 only.  Every entry is a list of successor masks, one per state.  A
 stored relation's entry is the model's own rows, at no cost; a
-converse is a transpose, one step per pair; a composition ORs one row
-per pair of its left factor; and C's closure is Warshall's on the
-union of the rows.  truth_set, semantic_operator, the refinement, the
-oracle and genframe all read these masks.  Frozensets appear only
+converse is a transpose; a composition ORs the right factor's rows
+named by each row of the left one; and C's closure is Warshall's on
+the union of the rows.  relations picks the method of each from the
+density of the rows.  truth_set, semantic_operator, the refinement,
+the oracle and genframe all read these masks.  Frozensets appear only
 where the public API returns them: the relation readers below and
 bisim.resolved_tasks decode an entry once per call, at one step per
-pair, and truth_set decodes one mask per node it evaluates.
+pair, and truth_set decodes one mask per node it evaluates, but for
+the empty and the full mask, which stand for the shared empty set
+and the model's state_set.
 
 _Kernel lays several models' masks side by side, and
 _definable_preorder computes the least family of masks closed under
@@ -113,7 +116,7 @@ def _ck(m: Model, reflexive: bool) -> list[int]:
     if m.flavor != EK:
         raise FlavorError(f"flavor {m.flavor!r} does not interpret C")
     rows = [reduce(or_, column) for column in zip(*m._box_rows)]
-    rel._close_rows(rows, rel._transpose(rows))
+    rel._close_rows(rows)
     if reflexive:
         rows = [row | 1 << i for i, row in enumerate(rows)]
     return rows
@@ -341,7 +344,8 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
 
     Each node is computed on masks: its children's masks come from the
     cache entries their own truth_set calls leave, read as soon as each
-    call returns, and the node's mask is decoded once for the result."""
+    call returns, and the node's mask is decoded once for the result,
+    the empty and the full mask to sets shared like Bot's and Top's."""
     key = (f, ck_reflexive)
     cache = m._eval_cache
     hit = cache.get(key)
@@ -385,7 +389,12 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
             mask = _bits_meeting(succ, a)
     else:
         raise FlavorError(f"no evaluation clause for {op.__name__}")
-    out = frozenset(rel._names(m.states, mask))
+    if not mask:
+        out = _EMPTY
+    elif mask == (1 << len(m.states)) - 1:
+        out = m.state_set
+    else:
+        out = frozenset(rel._names(m.states, mask))
     cache[key] = (out, mask)
     return out
 

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 import kripkit
 from kripkit import Fragment, sampling
 from kripkit.cli import main
+from kripkit.distinguish import synthesize
+from kripkit.errors import PreconditionError
 from kripkit.model import (FLAVORS, _dumps, build_example, model_from_dict,
                            model_to_dict, model_to_json)
 
@@ -348,6 +350,30 @@ def test_counts_above_the_stored_relations_are_rejected_first(
         capsys, ["bisim"] + pair + ["--fragment", "int", "--boxes", huge,
                                     "--flavor", "ek"],
         "clause needs box relation 2 but the model stores 1")
+
+
+def test_equiv_and_hm_check_report_errors_in_the_library_order(
+        capsys, strict_path):
+    # synthesize checks witnessability before the counts, and the CLI
+    # leaves both checks to it: a diamond over base int is refused as
+    # unwitnessable although the model stores no diamond relation
+    m = build_example("wedge_strict")
+    with pytest.raises(PreconditionError) as exc:
+        synthesize(m, m, Fragment("int", 0, 1))
+    want = ("diamond-shaped witnesses need subtraction, which base 'int' "
+            "lacks; no synthesis recipe is known for this combination")
+    assert str(exc.value) == want
+    for verb in ("equiv", "hm-check"):
+        assert main([verb, "--left", strict_path, "--right", strict_path,
+                     "--fragment", "int", "--diamonds", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {want}\n"
+    # bisim builds no witnesses, so it still reports the count
+    assert_one_line_error(
+        capsys, ["bisim", "--left", strict_path, "--right", strict_path,
+                 "--fragment", "int", "--diamonds", "1"],
+        "clause needs dia relation 1 but the model stores 0")
 
 
 def test_oracle_rejects_a_huge_count_at_the_first_missing_relation(

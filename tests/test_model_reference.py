@@ -8,15 +8,27 @@ constructor must give the same leq, boxes, diamonds, equality and
 dictionary, or raise the same error with the same text.  Each bad
 input below holds exactly one fault, since with several the previous
 constructor reported whichever its frozenset met first.
+
+old_coherence_violations keeps validate's previous coherence check
+verbatim: it listed every composition path through frozensets of
+pairs before looking for one that leaves its target, in memory that
+grows as n^4 on a dense h model.  The check on bit rows must report
+the same violations, each with the same path.
 """
 
 import random
+import tracemalloc
+from typing import Sequence
 
 import pytest
 
+from kripkit import build_example
+from kripkit import relations as rel
 from kripkit.errors import ModelFormatError
-from kripkit.model import (_ATOM_NAME, _SHAPES, EK, FLAVORS, STANDARD, Model,
-                           model_to_dict)
+from kripkit.model import (_ATOM_NAME, _SHAPES, EK, FLAVORS, FS, GPT, H,
+                           STANDARD, TENSE, Model, Violation,
+                           _coherence_violations, model_to_dict)
+from kripkit.sampling import random_model
 
 
 class OldModel:
@@ -223,3 +235,101 @@ def test_equality_matches_reference():
 ], ids=str)
 def test_constructor_matches_reference_on_edge_cases(args):
     _compare(args)
+
+
+# ---------------------------------------------------------------------------
+# Coherence violations
+
+
+def _inclusion_witness(parts: Sequence[frozenset], target: frozenset):
+    """First composition path through `parts` whose endpoints are not
+    in `target`, or None.  The path includes every intermediate state,
+    so a two-relation condition yields (x, u, y)."""
+    paths: list[tuple[str, ...]] = [pair for pair in sorted(parts[0])]
+    for part in parts[1:]:
+        succ = rel.successors(part)
+        paths = [path + (c,)
+                 for path in paths
+                 for c in sorted(succ.get(path[-1], ()))]
+    for path in paths:
+        if (path[0], path[-1]) not in target:
+            return path
+    return None
+
+
+def old_coherence_violations(m: Model) -> list[Violation]:
+    leq, geq = m.leq, m.geq
+    out: list[Violation] = []
+
+    def need(axiom, parts, target):
+        w = _inclusion_witness(parts, target)
+        if w is not None:
+            out.append(Violation(axiom, w))
+
+    if m.flavor == STANDARD:
+        for i, r in enumerate(m.boxes, 1):
+            need(f"box-{i}-coherence", [leq, r], rel.compose(r, leq))
+        for j, s in enumerate(m.diamonds, 1):
+            need(f"diamond-{j}-coherence", [geq, s], rel.compose(s, geq))
+    elif m.flavor == FS:
+        r = m.boxes[0]
+        need("fs-forward-coherence", [r, leq], rel.compose(leq, r))
+        need("fs-backward-coherence", [geq, r], rel.compose(r, geq))
+    elif m.flavor == GPT:
+        r, s = m.boxes[0], m.diamonds[0]
+        need("gpt-box-coherence", [r, leq], rel.compose(leq, r))
+        need("gpt-diamond-coherence", [geq, s], rel.compose(s, geq))
+    elif m.flavor == TENSE:
+        r, s = m.boxes[0], m.diamonds[0]
+        need("tense-box-equality", [leq, r], rel.compose(r, leq))
+        need("tense-box-equality", [r, leq], rel.compose(leq, r))
+        need("tense-diamond-equality", [geq, s], rel.compose(s, geq))
+        need("tense-diamond-equality", [s, geq], rel.compose(geq, s))
+    elif m.flavor == H:
+        need("h-condensation", [leq, m.boxes[0], leq], m.boxes[0])
+    elif m.flavor == EK:
+        for i, r in enumerate(m.boxes, 1):
+            need(f"ek-box-{i}-absorption", [leq, r], r)
+    return out
+
+
+def test_coherence_violations_match_reference_on_random_input():
+    # raw constructor input often breaks a flavor's conditions: these
+    # models break 567 of them, each reported at its first path
+    found = 0
+    for seed in CASES:
+        m = built(Model, _args(random.Random(seed)))
+        if isinstance(m, Model):
+            want = old_coherence_violations(m)
+            assert _coherence_violations(m) == want, seed
+            found += len(want)
+    assert found == 567
+
+
+def test_coherence_violations_match_reference_on_valid_models():
+    models = [build_example(name, params) for name, params in (
+        ("wedge", ()), ("wedge_strict", ()), ("spines", (5,)),
+        ("porcupine", (3,)), ("omega_chain", (4,)))]
+    for flavor in FLAVORS:
+        kw = {STANDARD: dict(n_boxes=2, n_diamonds=1), EK: dict(n_boxes=2),
+              GPT: dict(n_diamonds=1), TENSE: dict(n_diamonds=1)}
+        for seed in range(10):
+            models.append(random_model(random.Random(seed), flavor,
+                                       n_states=1 + seed, strict=seed % 2,
+                                       **kw.get(flavor, {})))
+    for m in models:
+        assert _coherence_violations(m) == old_coherence_violations(m) == []
+
+
+def test_validate_memory_stays_quadratic_on_a_dense_h_model():
+    # listing every path of leq∘R∘leq took 211 MB here; the rows take
+    # well under 1 MB
+    m = random_model(random.Random(1), H, n_states=40)
+    tracemalloc.start()
+    try:
+        report = m.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.strictly_condensed
+    assert peak < 4_000_000, peak

@@ -13,6 +13,14 @@ leq_gen Model.make did before it closed the rows itself, both kept
 verbatim but for calling the reference algebra here.  Every effective
 relation of the gallery and of random models of all six flavors, and
 every order Model.make closes, must come out the same.
+
+Between the two sit the bit-row primitives as they were before each
+picked its method from the density of its rows: _transpose walking
+every set bit, _compose_rows walking every row and _close_rows taking
+the columns as an argument.  The primitives must give the same rows on
+random square rows on both sides of the switch, and the models
+model_from_dict builds and the truth sets truth_set computes must come
+out the same with the references in their place.
 """
 
 import random
@@ -23,9 +31,10 @@ import pytest
 from kripkit import build_example, semantics
 from kripkit import relations as rel
 from kripkit.errors import FlavorError
+from kripkit.formula import Fragment
 from kripkit.model import (_SHAPES, EK, FS, GPT, H, STANDARD, TENSE, Model,
-                           model_to_dict)
-from kripkit.sampling import random_model
+                           model_from_dict, model_to_dict)
+from kripkit.sampling import random_formula, random_model
 
 Pair = tuple[str, str]
 Relation = frozenset[Pair]
@@ -101,6 +110,53 @@ def preorder_closure(pairs: Iterable[Pair], states: Iterable[str]) -> Relation:
 
 def converse(r: Iterable[Pair]) -> Relation:
     return frozenset((b, a) for a, b in r)
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _compose_rows(r: list[int], s: list[int]) -> list[int]:
+    """Rows of the composition, first r then s, over one numbering."""
+    out = []
+    for row in r:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= s[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """Rows of the converse: bit i of entry j where rows[i] has bit j."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in _bits(row):
+            out[j] |= bit
+    return out
+
+
+def _close_rows(rows: list[int], cols: list[int]) -> None:
+    """Close rows transitively in place, by Warshall's algorithm ("A
+    theorem on Boolean matrices", J. ACM 1962): for each state k in
+    turn, every state that reaches k takes in the targets of k.  cols
+    must be the transpose of rows and is kept in step, so that state k
+    visits only the rows that reach it and a sparse relation costs far
+    less than n^2 steps."""
+    for k in range(len(rows)):
+        row_k, col_k = rows[k], cols[k]
+        if row_k and col_k:
+            for i in _bits(col_k):
+                rows[i] |= row_k
+            for j in _bits(row_k):
+                cols[j] |= col_k
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +428,118 @@ def test_effective_relations_match_reference_on_random_models(flavor, kw,
         rng.shuffle(leq_gen)
         built = (m.states, leq_gen, m.boxes, m.diamonds, m.valuation, flavor)
         _same_model(Model.make(*built), make(Model, *built))
+
+
+# ---------------------------------------------------------------------------
+# Bit-row primitives
+
+
+DENSITIES = (0, 0.02, 0.1, 0.25, 0.5, 1)
+
+
+def _square_rows(rng: random.Random, n: int, density: float,
+                 repeat: bool) -> list[int]:
+    """n rows of n bits, each bit set with the given chance; with
+    repeat, the rows are drawn from a few distinct ones, as the states
+    of one cluster of an order share their row."""
+    rows = [sum(1 << j for j in range(n) if rng.random() < density)
+            for _ in range(n)]
+    if repeat:
+        rows = [rng.choice(rows[:rng.randint(1, 3)]) for _ in range(n)]
+    return rows
+
+
+def _rows_with(rng: random.Random, n: int, pairs: int) -> list[int]:
+    """n rows of n bits holding exactly `pairs` set bits."""
+    rows = [0] * n
+    for cell in rng.sample(range(n * n), pairs):
+        rows[cell // n] |= 1 << cell % n
+    return rows
+
+
+def _same_rows(rows: list[int], s: list[int]) -> None:
+    """Each primitive on rows (and s) gives the reference's rows."""
+    assert rel._transpose(rows) == _transpose(rows)
+    assert rel._compose_rows(rows, s) == _compose_rows(rows, s)
+    closed, ref = list(rows), list(rows)
+    rel._close_rows(closed)
+    _close_rows(ref, _transpose(ref))
+    assert closed == ref
+
+
+def test_row_primitives_match_reference_on_random_rows():
+    rng = random.Random(16)
+    for n in range(1, 71):
+        for density in DENSITIES:
+            for repeat in (False, True):
+                rows = _square_rows(rng, n, density, repeat)
+                s = _square_rows(rng, n, rng.choice(DENSITIES), False)
+                _same_rows(rows, s)
+
+
+def test_row_primitives_match_reference_at_the_density_switch():
+    # rows switch method at a quarter of all pairs: one pair below, at
+    # and one pair above it, and a chain, sparse but closing densely
+    rng = random.Random(4)
+    for n in (1, 2, 3, 7, 8, 31, 64, 65):
+        edge = -(-n * n // 4)
+        for pairs in (edge - 1, edge, edge + 1):
+            if 0 <= pairs <= n * n:
+                rows = _rows_with(rng, n, pairs)
+                assert rel._dense(rows) == (pairs * 4 >= n * n)
+                _same_rows(rows, _rows_with(rng, n, rng.randint(0, n * n)))
+        chain = [1 << i + 1 for i in range(n - 1)] + [0]
+        _same_rows(chain, chain)
+
+
+def _truth_sets(data: dict, formulas: list, monkeypatch=None) -> list:
+    """Rows of the model data loads into and the truth set of every
+    formula on it, with the reference primitives if monkeypatch is
+    given."""
+    def run():
+        m = model_from_dict(data)
+        out = [m._leq_rows, m._box_rows, m._dia_rows,
+               m.leq, m.boxes, m.diamonds]
+        for f in formulas:
+            try:
+                out.append(semantics.truth_set(f, m))
+            except FlavorError as exc:
+                out.append(str(exc))
+        return out
+    if monkeypatch is None:
+        return run()
+    with monkeypatch.context() as patch:
+        patch.setattr(rel, "_transpose", _transpose)
+        patch.setattr(rel, "_compose_rows", _compose_rows)
+        patch.setattr(rel, "_close_rows",
+                      lambda rows: _close_rows(rows, _transpose(rows)))
+        return run()
+
+
+EVERYTHING = Fragment("biint", 2, 2, True)
+
+
+@pytest.mark.parametrize("flavor,kw", SIX, ids=[f for f, _ in SIX])
+def test_loading_and_truth_sets_match_reference_rows(flavor, kw,
+                                                     monkeypatch):
+    for seed in range(12):
+        rng = random.Random(f"rows/{flavor}/{seed}")
+        n = rng.choice((1, 2, 5, 12, 30))
+        m = random_model(rng, flavor, n_states=n, strict=seed % 2 == 0, **kw)
+        formulas = [random_formula(rng, EVERYTHING, 3, allow_ck=True)
+                    for _ in range(15)]
+        data = model_to_dict(m)
+        assert (_truth_sets(data, formulas)
+                == _truth_sets(data, formulas, monkeypatch))
+
+
+@pytest.mark.parametrize("example", GALLERY,
+                         ids=[f"{name}{params}" for name, params in GALLERY])
+def test_loading_and_truth_sets_match_reference_rows_on_the_gallery(
+        example, monkeypatch):
+    rng = random.Random(str(example))
+    formulas = [random_formula(rng, Fragment("biint", 1, 0, True), 3)
+                for _ in range(15)]
+    data = model_to_dict(build_example(*example))
+    assert (_truth_sets(data, formulas)
+            == _truth_sets(data, formulas, monkeypatch))
