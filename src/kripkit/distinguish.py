@@ -59,11 +59,6 @@ from .relations import _bits
 
 _EMPTY = frozenset()
 
-# The empty conjunction and disjunction, built once, so that equal
-# witnesses share these leaves and comparing them is an identity check.
-_TOP = Top()
-_BOT = Bot()
-
 # The operator each modal clause shape puts around its witness core;
 # the arrow shapes "imp" and "sub" use the core as it is.
 _MODAL_SHAPE = {"box": Box, "tbox": TBox, "dia": Dia, "tdia": TDia}
@@ -187,8 +182,8 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                     true_at_t.append(w.formula)
                 else:
                     true_at_cover.append(w.formula)
-            phi = _fold(And, _dedup_and_sort(true_at_t, m, m2), _TOP)
-            psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), _BOT)
+            phi = _fold(And, _dedup_and_sort(true_at_t, m, m2), Top())
+            psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), Bot())
             if shape in ("imp", "box", "tbox"):
                 core = psi if isinstance(phi, Top) else Imp(phi, psi)
                 orientation = "right" if owner == "left" else "left"

@@ -30,82 +30,46 @@ from __future__ import annotations
 import re
 from dataclasses import FrozenInstanceError, dataclass, fields
 from typing import NamedTuple
+from weakref import ref
 
 from .errors import FragmentError, ParseError
 
 
 def _check_index(index: int) -> None:
-    if not isinstance(index, int) or index < 1:
+    # exactly int: a True index would equal 1, and Box(1, p) could then
+    # be handed a shared node that prints as []True p
+    if type(index) is not int or index < 1:
         raise ValueError(f"relation index must be a positive integer, "
                          f"got {index!r}")
 
 
 class Formula:
     """Base class for formula nodes.  Instances are immutable and
-    compare structurally.
+    hash-consed: equal nodes are one object, so equality is identity.
 
     A node has one of five shapes: Atom, a constant, a binary
     connective, an indexed modality or Ck, each a frozen dataclass with
-    eq=False, so this class alone defines hashing and equality.  A
-    node's hash, hash((its class, *its fields)), is stored when it is
-    built; so hashing costs O(1) at any depth.  Equality walks both
-    trees with a stack and stops at the first pair of nodes whose
-    hashes differ.  Only evaluation recurses over the tree.
+    eq=False and init=False.  A shape builds through its __new__, which
+    looks its key, (its class, *its fields), up in one weak table,
+    _NODES, and builds a node only when no live node has that key; an
+    entry goes when its node dies, so the table holds no more nodes
+    than callers do.  Children enter the key by identity, since they
+    are interned first.  A node stores the hash of its key, so hashing
+    costs O(1) at any depth.  Only evaluation recurses over the tree.
 
     connective_count and to_string remember their answers in one
     attribute outside the dataclass fields, _memo: the connective
     count, or (count, text) once the node is printed; a leaf's count,
     0, is a class attribute.  One attribute, because CPython 3.11 gives
     a node room for one attribute beyond those it was built with, and
-    a second gives the node a dict of its own (about 230 bytes).  repr,
-    equality and hashing ignore _memo, and a pickle does not carry
-    it."""
+    a second gives the node a dict of its own (about 230 bytes).  repr
+    and hashing ignore _memo, and every caller of a node shares it."""
 
     def __str__(self) -> str:
         return to_string(self)
 
     def __hash__(self) -> int:
         return self._h
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # Walk both trees at once, following left or only children and
-        # stacking right ones as nested (a, b, rest) tuples, cheaper than
-        # a list.  A pair of one object twice is equal, unequal hashes not.
-        a, b, todo = self, other, ()
-        while True:
-            if a is not b:
-                if type(a) is not type(b):
-                    # as the tuple comparison of dataclass fields does
-                    if not a == b:
-                        return False
-                elif isinstance(a, _Modal):
-                    if a._h != b._h or not a.index == b.index:
-                        return False
-                    a, b = a.body, b.body
-                    continue
-                elif isinstance(a, _Binary):
-                    if a._h != b._h:
-                        return False
-                    todo = a.right, b.right, todo
-                    a, b = a.left, b.left
-                    continue
-                elif isinstance(a, _Const):
-                    pass
-                elif isinstance(a, Atom):
-                    if not a.name == b.name:
-                        return False
-                elif isinstance(a, Ck):
-                    if a._h != b._h:
-                        return False
-                    a, b = a.body, b.body
-                    continue
-                elif not a == b:
-                    return False  # children that are not formulas
-            if not todo:
-                return True
-            a, b, todo = todo
 
     # a shape's frozen __setattr__ passes non-fields of subclasses here
     def __setattr__(self, name, value):
@@ -116,71 +80,106 @@ class Formula:
 
     def __reduce__(self):
         # Rebuild through the constructor: str hashes are salted per
-        # process, so a stored hash must not travel in a pickle.
+        # process, so a stored hash must not travel in a pickle, and
+        # the constructor hands back the live node where there is one.
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-# Each shape's __post_init__ stores its hash through this, since the
-# nodes are frozen; binding it here spares a lookup per node built.
+# The nodes are frozen, so their fields and stored text are set through
+# this; binding it here spares a lookup per node built.
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
+class _Ref(ref):
+    """A weak reference to a node in _NODES that knows the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _forget(r: _Ref) -> None:
+    # a node rebuilt while r waited to be called holds the entry now
+    if _NODES.get(r.key) is r:
+        del _NODES[r.key]
+
+
+# Every live node under its key, (class, *fields).  A plain dict of
+# _Refs, not a WeakValueDictionary, keeps lookups and insertions out of
+# Python-level methods: on CPython 3.11, building and dropping a fresh
+# And took 2.0 us through a WeakValueDictionary and 1.5 us here.
+_NODES: dict[tuple, _Ref] = {}
+
+
+def _intern(key: tuple, names: tuple[str, ...]) -> Formula:
+    """The live node whose key is key, or a new one whose fields names
+    take the values key[1:]."""
+    r = _NODES.get(key)
+    if r is not None and (node := r()) is not None:
+        return node
+    node = object.__new__(key[0])
+    for name, value in zip(names, key[1:]):
+        _set(node, name, value)
+    _set(node, "_h", hash(key))
+    r = _NODES[key] = _Ref(node, _forget)
+    r.key = key
+    return node
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Atom(Formula):
     name: str
 
     _memo = 0  # the connective count of every leaf
 
-    def __post_init__(self):
-        _set(self, "_h", hash((type(self), self.name)))
+    def __new__(cls, name):
+        return _intern((cls, name), ("name",))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _Const(Formula):
     """The shape of the constants T and F."""
 
     _memo = 0  # the connective count of every leaf
 
-    def __post_init__(self):
-        _set(self, "_h", hash((type(self),)))
+    def __new__(cls):
+        return _intern((cls,), ())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _Binary(Formula):
     """The shape of the binary connectives."""
 
     left: Formula
     right: Formula
 
-    def __post_init__(self):
-        _set(self, "_h", hash((type(self), self.left, self.right)))
+    def __new__(cls, left, right):
+        return _intern((cls, left, right), ("left", "right"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class _Modal(Formula):
     """The shape of the modalities indexed by a relation."""
 
     index: int
     body: Formula
 
-    def __post_init__(self):
-        _check_index(self.index)
-        _set(self, "_h", hash((type(self), self.index, self.body)))
+    def __new__(cls, index, body):
+        _check_index(index)  # before the lookup: Box(1.0, p) finds Box(1, p)
+        return _intern((cls, index, body), ("index", "body"))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ck(Formula):
     """Common knowledge: box along the transitive closure of the union
     of all box relations."""
 
     body: Formula
 
-    def __post_init__(self):
-        _set(self, "_h", hash((type(self), self.body)))
+    def __new__(cls, body):
+        return _intern((cls, body), ("body",))
 
 
 # The concrete node classes, one line each: a class adds only its name,
-# which hashing, equality and the tables below read.
+# which the key of every node and the tables below read.
 class Top(_Const): """The constant T, true everywhere."""
 class Bot(_Const): """The constant F, true nowhere."""
 class And(_Binary): """Conjunction a & b."""
@@ -271,8 +270,9 @@ def _tokenize(text: str) -> list[_Token]:
 # root to a leaf, and at most this many nested parentheses.  Parsing
 # recurses twice per parenthesis and evaluating twice per level
 # (truth_set and its helper for children), against the default
-# recursion limit of 1000.  Hashing, comparing, printing, translating
-# and the structural measures walk with a stack.  300
+# recursion limit of 1000.  Hashing and comparing visit one node, since
+# a node stores its hash and equal nodes are one object; printing,
+# translating and the structural measures walk with a stack.  300
 # leaves room for a caller's stack some 60 frames deep, and 150 levels
 # of "[]1 (...) & q" are 300 deep.
 MAX_DEPTH = 300

@@ -386,13 +386,9 @@ def _validate(m: Model) -> ValidationReport:
     for s in m.states:
         if (s, s) not in m.leq:
             violations.append(Violation("reflexivity", (s,)))
-    w = rel.missing_transitivity(m.leq)
+    w = _inclusion_witness(m, [m._leq_rows, m._leq_rows], m.leq)
     if w is not None:
-        # recover the middle state for the report
-        x, z = w
-        mid = min(u for u in m.up_map.get(x, m.states)
-                  if (x, u) in m.leq and (u, z) in m.leq)
-        violations.append(Violation("transitivity", (x, mid, z)))
+        violations.append(Violation("transitivity", w))
     for atom, xs in m.valuation.items():
         done = False
         for a in sorted(xs):

@@ -276,7 +276,7 @@ def test_deep_chains_compare_and_walk_without_recursion():
     # at 340 levels == raised RecursionError, and atoms_of,
     # nesting_depth and translate at 3,000
     f, twin, other = _chain(3000, r), _chain(3000, r), _chain(3000, Top())
-    assert f is not twin and hash(f) == hash(twin)
+    assert f is twin and hash(f) == hash(twin)
     assert f == twin and not f != twin
     assert f != other and not f == other
     x, y = _Clash(), _Clash()
@@ -327,7 +327,7 @@ def test_hash_and_equality_are_defined_once_on_formula(node):
 
 def test_equal_trees_built_apart_hash_equal():
     text = "[]1 (p & q -> <|2 r) | C ~q -< -.T"
-    assert parse(text) is not parse(text)
+    assert parse(text) is parse(text)
     assert hash(parse(text)) == hash(parse(text))
     assert len({parse(text), parse(text)}) == 1
     assert And(p, q) != Or(p, q) and Atom("p") != "p"
@@ -390,8 +390,55 @@ def test_stored_text_and_count_stay_out_of_sight():
                                                  "_memo"}
     copy = pickle.loads(pickle.dumps(f))
     assert copy == f and hash(copy) == hash(f)
-    assert "_memo" not in vars(copy)
+    assert copy is f
     assert str(copy) == text
+
+
+def test_equal_nodes_are_one_object():
+    assert Atom("p") is Atom("p") is p
+    assert Box(index=1, body=p) is Box(1, p)
+    assert Top() is Top() and Bot() is Bot() and Top() is not Bot()
+    assert And(p, q) is not Or(p, q) and Box(1, p) is not Dia(1, p)
+    assert parse("[]1 (p -> q) & C r") is And(Box(1, Imp(p, q)), Ck(r))
+
+
+def test_copies_are_the_live_node():
+    import copy
+    import pickle
+
+    f = parse("[]1 (p & q -> <|2 r) | C ~q -< -.T")
+    assert pickle.loads(pickle.dumps(f)) is f
+    assert copy.copy(f) is f and copy.deepcopy(f) is f
+    assert dataclasses.replace(f) is f
+    assert dataclasses.replace(Box(1, p), body=q) is Box(1, q)
+    assert dataclasses.replace(Box(1, p), index=2) is Box(2, p)
+
+
+def test_deep_chains_built_twice_are_one_object():
+    assert _chain(3000, r) is _chain(3000, r)
+    assert _chain(3000, r) is not _chain(3000, Top())
+
+
+def test_dead_nodes_leave_the_table():
+    from kripkit import formula
+
+    start = len(formula._NODES)
+    atoms = [Atom(f"x{i}") for i in range(100_000)]
+    assert len(formula._NODES) == start + 100_000
+    del atoms
+    assert len(formula._NODES) == start
+    # a node rebuilt after its twin died is a fresh, equal-hashing node
+    h = hash(Box(7, Atom("gone")))
+    assert hash(Box(7, Atom("gone"))) == h
+
+
+def test_invalid_indexes_raise_while_a_valid_twin_is_alive():
+    twin = Box(1, p)
+    for bad in (0, -1, 1.0, True, "1", None):
+        for cls in (Box, Dia, TDia, TBox):
+            with pytest.raises(ValueError, match="positive integer"):
+                cls(bad, p)
+    assert Box(1, p) is twin and Box(1, p).index == 1
 
 
 def test_counts_of_deep_and_shared_formulas_need_no_recursion():

@@ -14,6 +14,11 @@ verbatim: it listed every composition path through frozensets of
 pairs before looking for one that leaves its target, in memory that
 grows as n^4 on a dense h model.  The check on bit rows must report
 the same violations, each with the same path.
+
+old_transitivity_violation keeps validate's previous transitivity
+check verbatim: relations.missing_transitivity on the frozenset of
+pairs, then a search for the middle state.  It was cubic in the states
+on a dense order.  The check on rows must report the same triple.
 """
 
 import random
@@ -333,3 +338,48 @@ def test_validate_memory_stays_quadratic_on_a_dense_h_model():
         tracemalloc.stop()
     assert report.ok and report.strictly_condensed
     assert peak < 4_000_000, peak
+
+
+# ---------------------------------------------------------------------------
+# Transitivity
+
+
+def old_transitivity_violation(m: Model) -> list[Violation]:
+    w = rel.missing_transitivity(m.leq)
+    if w is None:
+        return []
+    # recover the middle state for the report
+    x, z = w
+    mid = min(u for u in m.up_map.get(x, m.states)
+              if (x, u) in m.leq and (u, z) in m.leq)
+    return [Violation("transitivity", (x, mid, z))]
+
+
+def _transitivity_violation(m: Model) -> list[Violation]:
+    return [v for v in m.validate().violations if v.axiom == "transitivity"]
+
+
+def test_transitivity_violation_matches_reference_on_random_orders():
+    # unclosed random orders over up to 12 states, of every density
+    found = 0
+    for seed in range(3000):
+        rng = random.Random(f"trans/{seed}")
+        states = [f"s{i}" for i in range(rng.randint(1, 12))]
+        density = rng.random()
+        m = Model(states, [(a, b) for a in states for b in states
+                           if rng.random() < density])
+        want = old_transitivity_violation(m)
+        assert _transitivity_violation(m) == want, seed
+        found += len(want)
+    assert found == 2131
+
+
+def test_transitivity_violation_matches_reference_on_constructor_input():
+    found = 0
+    for seed in CASES:
+        m = built(Model, _args(random.Random(seed)))
+        if isinstance(m, Model):
+            want = old_transitivity_violation(m)
+            assert _transitivity_violation(m) == want, seed
+            found += len(want)
+    assert found == 375
