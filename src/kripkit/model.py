@@ -102,14 +102,9 @@ class Model:
                  valuation: Mapping[str, Iterable[str]] | None = None,
                  flavor: str = STANDARD):
         states = list(states)
-        if not states:
-            raise ModelFormatError("a model needs at least one state")
-        if len(set(states)) != len(states):
-            raise ModelFormatError("duplicate state names")
-        if not all(isinstance(s, str) and s for s in states):
-            raise ModelFormatError("state names must be nonempty strings")
-        self.states: tuple[str, ...] = tuple(sorted(states))
-        index = self._index = {x: i for i, x in enumerate(self.states)}
+        _check_states(states)
+        names = tuple(sorted(states))
+        index = {x: i for i, x in enumerate(names)}
         bit = {x: 1 << i for x, i in index.items()}
 
         def rows(pairs, what) -> list[int]:
@@ -123,12 +118,27 @@ class Model:
                         from None
             return out
 
-        self._leq_rows = rows(leq, "leq")
-        self._box_rows = tuple(
-            rows(r, f"box relation {i}") for i, r in enumerate(boxes, 1))
-        self._dia_rows = tuple(
-            rows(s, f"diamond relation {j}")
-            for j, s in enumerate(diamonds, 1))
+        self._set_rows(names, index, rows(leq, "leq"),
+                       [rows(r, f"box relation {i}")
+                        for i, r in enumerate(boxes, 1)],
+                       [rows(s, f"diamond relation {j}")
+                        for j, s in enumerate(diamonds, 1)],
+                       valuation, flavor)
+
+    def _set_rows(self, states: tuple[str, ...], index: dict[str, int],
+                  leq_rows: list[int], box_rows: list[list[int]],
+                  dia_rows: list[list[int]],
+                  valuation: Mapping[str, Iterable[str]] | None,
+                  flavor: str) -> None:
+        """The rest of construction, from rows over the sorted states
+        that index numbers: the flavor's relation counts, the valuation
+        and the empty caches.  The constructor and model_from_dict both
+        end here, each having built its rows its own way."""
+        self.states = states
+        self._index = index
+        self._leq_rows = leq_rows
+        self._box_rows = tuple(box_rows)
+        self._dia_rows = tuple(dia_rows)
 
         if flavor not in FLAVORS:
             raise ModelFormatError(f"unknown flavor {flavor!r}")
@@ -167,10 +177,7 @@ class Model:
         """Build a model from order generators: leq_gen is closed
         reflexively and transitively over the carrier, on the rows."""
         m = cls(states, leq_gen, boxes, diamonds, valuation, flavor)
-        rows = m._leq_rows
-        rel._close_rows(rows)
-        for i in range(len(rows)):
-            rows[i] |= 1 << i
+        _close_order(m._leq_rows)
         return m
 
     # -- derived views ---------------------------------------------------
@@ -229,6 +236,24 @@ class Model:
         if self._validation is None:
             self._validation = _validate(self)
         return self._validation
+
+
+def _check_states(states: list) -> None:
+    """Raise ModelFormatError unless states is a nonempty list of
+    distinct nonempty strings."""
+    if not states:
+        raise ModelFormatError("a model needs at least one state")
+    if len(set(states)) != len(states):
+        raise ModelFormatError("duplicate state names")
+    if not all(isinstance(s, str) and s for s in states):
+        raise ModelFormatError("state names must be nonempty strings")
+
+
+def _close_order(rows: list[int]) -> None:
+    """Close order rows reflexively and transitively, in place."""
+    rel._close_rows(rows)
+    for i in range(len(rows)):
+        rows[i] |= 1 << i
 
 
 def _known(m: Model, xs: Iterable[str], what: str) -> frozenset[str]:
@@ -622,20 +647,17 @@ def build_example(name: str, params: Sequence[int] = ()) -> Model:
 _MODEL_KEYS = {"states", "leq_gen", "boxes", "diamonds", "valuation", "flavor"}
 
 
-def _pairs(value, what):
-    """value, checked to be a list of [from, to] pairs of strings."""
-    if not isinstance(value, list):
-        raise ModelFormatError(f"{what} must be a list of pairs")
-    for item in value:
-        if not (isinstance(item, list) and len(item) == 2
-                and isinstance(item[0], str) and isinstance(item[1], str)):
-            raise ModelFormatError(f"{what} must contain [from, to] pairs")
-    return value
-
-
 def model_from_dict(data) -> Model:
     """Strictly parse the JSON model object.  The order is given by
-    generators under "leq_gen" and closed into a preorder here."""
+    generators under "leq_gen" and closed into a preorder here.
+
+    Each relation is read in one pass: every pair is checked as it is
+    OR-ed into its bit row over the sorted states, and the rows go to
+    the model as they are.  Every error is the one Model.make would
+    raise on the same lists, in the same order: the shape of each
+    value first, then the states, then the first pair that names an
+    unknown state (leq_gen, then boxes, then diamonds), then the
+    flavor's relation counts and the valuation."""
     if not isinstance(data, dict):
         raise ModelFormatError("model file must hold a JSON object")
     unknown = set(data) - _MODEL_KEYS
@@ -648,13 +670,43 @@ def model_from_dict(data) -> Model:
     if (not isinstance(states, list)
             or not all(isinstance(s, str) for s in states)):
         raise ModelFormatError("states must be a list of strings")
-    leq_gen = _pairs(data["leq_gen"], "leq_gen")
+    names = tuple(sorted(states))
+    # duplicate names are reported only after the rows are read, so
+    # the rows are over the distinct names
+    index = {x: i for i, x in enumerate(dict.fromkeys(names))}
+    bit = {x: 1 << i for x, i in index.items()}
+    faults: list[str] = []  # the first pair naming an unknown state
+
+    def rows(value, what: str, name: str) -> list[int]:
+        # A name found in index is a string, since index holds only
+        # strings and no other value JSON can hold equals one, so only
+        # a pair that misses index has its names' types checked.
+        if not isinstance(value, list):
+            raise ModelFormatError(f"{what} must be a list of pairs")
+        out = [0] * len(index)
+        for item in value:
+            if isinstance(item, list) and len(item) == 2:
+                a, b = item
+                try:
+                    out[index[a]] |= bit[b]
+                    continue
+                except (KeyError, TypeError):
+                    if isinstance(a, str) and isinstance(b, str):
+                        if not faults:
+                            faults.append(f"{name} mentions unknown state "
+                                          f"in ({a}, {b})")
+                        continue
+            raise ModelFormatError(f"{what} must contain [from, to] pairs")
+        return out
+
+    leq = rows(data["leq_gen"], "leq_gen", "leq")
     rels = {}
-    for key in ("boxes", "diamonds"):
+    for key, name in (("boxes", "box"), ("diamonds", "diamond")):
         value = data.get(key, [])
         if not isinstance(value, list):
             raise ModelFormatError(f"{key} must be a list of relations")
-        rels[key] = [_pairs(r, f"{key}[{i}]") for i, r in enumerate(value)]
+        rels[key] = [rows(r, f"{key}[{i}]", f"{name} relation {i + 1}")
+                     for i, r in enumerate(value)]
     valuation = data["valuation"]
     if not isinstance(valuation, dict):
         raise ModelFormatError("valuation must be an object")
@@ -664,9 +716,14 @@ def model_from_dict(data) -> Model:
     flavor = data.get("flavor", STANDARD)
     if not isinstance(flavor, str):
         raise ModelFormatError("flavor must be a string")
-    return Model.make(states, leq_gen, boxes=rels["boxes"],
-                      diamonds=rels["diamonds"], valuation=valuation,
-                      flavor=flavor)
+    _check_states(states)
+    if faults:
+        raise ModelFormatError(faults[0])
+    m = Model.__new__(Model)
+    m._set_rows(names, index, leq, rels["boxes"], rels["diamonds"],
+                valuation, flavor)
+    _close_order(m._leq_rows)
+    return m
 
 
 def model_to_dict(m: Model) -> dict:

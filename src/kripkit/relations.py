@@ -27,7 +27,9 @@ and at a quarter the second is already the cheaper:
 
     _transpose     dense: fixed-width binary strings transposed by zip;
                    sparse: one step per set bit
-    _close_rows    dense: Warshall a whole row list per state;
+    _close_rows    dense: Warshall on the distinct rows (equal rows
+                   stay equal at every step), a pass over them per
+                   state;
                    sparse: the column-guided walk, which visits only
                    the rows that reach each state
     _compose_rows  dense: each distinct row composed once (the states
@@ -150,14 +152,23 @@ def _close_rows(rows: list[int]) -> None:
     """Close square rows transitively in place, by Warshall's
     algorithm ("A theorem on Boolean matrices", J. ACM 1962): for each
     state k in turn, every state that reaches k takes in the targets of
-    k.  Dense rows take this a whole list at a time, n list passes of
-    one test each.  Sparse rows keep the columns (the transpose) in
-    step, so that state k visits only the rows that reach it and a
-    relation such as a long chain costs far less than n^2 steps."""
+    k.  A step maps each row to a value that depends on the row alone,
+    so equal rows stay equal throughout.  Dense rows repeat (the states
+    of a cluster of the order share their row), so they take the steps
+    on their distinct values only, n passes of one test per value, and
+    each state reads its row back at the end.  Sparse rows keep the
+    columns (the transpose) in step, so that state k visits only the
+    rows that reach it and a relation such as a long chain costs far
+    less than n^2 steps."""
     if _dense(rows):
-        for k in range(len(rows)):
-            row_k, bit = rows[k], 1 << k
-            rows[:] = [row | row_k if row & bit else row for row in rows]
+        place: dict[int, int] = {}  # each distinct row's place
+        at = [place.setdefault(row, len(place)) for row in rows]
+        distinct = list(place)
+        for k, p in enumerate(at):
+            row_k, bit = distinct[p], 1 << k
+            distinct = [row | row_k if row & bit else row
+                        for row in distinct]
+        rows[:] = [distinct[p] for p in at]
         return
     cols = _transpose(rows)
     for k in range(len(rows)):

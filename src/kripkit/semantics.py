@@ -211,8 +211,24 @@ def _upset(m: Model, a: int) -> int:
     return a
 
 
+# Lists of at least this many masks are scanned into one flag per
+# state, read back as a binary numeral in one conversion; shorter ones
+# build the result a bit at a time, since each step of that loop
+# shifts and ORs an int as long as the list, which is quadratic in the
+# end.  The switch is where the flags won on every kind of mask
+# measured (CPython 3.11, best of many runs): on chains, random sparse
+# and random dense masks, the flags took 0.78-0.88 of the loop's time
+# at 64 masks and 0.68-0.75 at 256, were within a tenth of it at 32,
+# and were slower below that, 1.16-1.28 times at 16 and 1.8 times at
+# 8.
+_LONG_SCAN = 64
+
+
 def _bits_disjoint(masks: list[int], d: int) -> int:
     """Bit k set where masks[k] and d share no bit."""
+    if len(masks) >= _LONG_SCAN:
+        return int("".join(["0" if mask & d else "1"
+                            for mask in reversed(masks)]), 2)
     out, bit = 0, 1
     for mask in masks:
         if not mask & d:
@@ -223,6 +239,9 @@ def _bits_disjoint(masks: list[int], d: int) -> int:
 
 def _bits_meeting(masks: list[int], d: int) -> int:
     """Bit k set where masks[k] and d share a bit."""
+    if len(masks) >= _LONG_SCAN:
+        return int("".join(["1" if mask & d else "0"
+                            for mask in reversed(masks)]), 2)
     out, bit = 0, 1
     for mask in masks:
         if mask & d:
@@ -342,10 +361,12 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
     model that breaks its frame conditions, say with a valuation that
     is not upward closed, the result need not be an upset.
 
-    Each node is computed on masks: its children's masks come from the
-    cache entries their own truth_set calls leave, read as soon as each
-    call returns, and the node's mask is decoded once for the result,
-    the empty and the full mask to sets shared like Bot's and Top's."""
+    Each node is computed on masks, by its shape: a leaf reads the
+    valuation or is a constant, and a binary connective or a modality
+    first calls truth_set on each child and reads the child's mask off
+    the cache entry that call leaves, right after it returns.  The
+    node's mask is decoded once for the result, the empty and the full
+    mask to sets shared like Bot's and Top's."""
     key = (f, ck_reflexive)
     cache = m._eval_cache
     hit = cache.get(key)
@@ -353,25 +374,13 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
         return hit[0]
     if len(cache) >= MAX_EVAL_CACHE:
         cache.clear()
-
-    def ev(g: Formula) -> int:
-        truth_set(g, m, ck_reflexive)
-        return cache[g, ck_reflexive][1]
-
     op = type(f)
-    if isinstance(f, Atom):
-        out = m.valuation.get(f.name, _EMPTY)
-        cache[key] = (out, _mask(m, out))
-        return out
-    if isinstance(f, Top):
-        cache[key] = (m.state_set, (1 << len(m.states)) - 1)
-        return m.state_set
-    if isinstance(f, Bot):
-        cache[key] = (_EMPTY, 0)
-        return _EMPTY
     if isinstance(f, _Binary):
-        a = ev(f.left)
-        b = ev(f.right)
+        left, right = f.left, f.right
+        truth_set(left, m, ck_reflexive)
+        a = cache[left, ck_reflexive][1]
+        truth_set(right, m, ck_reflexive)
+        b = cache[right, ck_reflexive][1]
         if isinstance(f, And):
             mask = a & b
         elif isinstance(f, Or):
@@ -382,11 +391,23 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
             mask = _bits_meeting(_succ_masks(m, "sub"), a & ~b)
     elif op in _MODAL:
         succ = _succ_masks(m, op, ck_reflexive if op is Ck else f.index)
-        a = ev(f.body)
+        body = f.body
+        truth_set(body, m, ck_reflexive)
+        a = cache[body, ck_reflexive][1]
         if _MODAL[op]:
             mask = _bits_disjoint(succ, ((1 << len(succ)) - 1) ^ a)
         else:
             mask = _bits_meeting(succ, a)
+    elif isinstance(f, Atom):
+        out = m.valuation.get(f.name, _EMPTY)
+        cache[key] = (out, _mask(m, out))
+        return out
+    elif isinstance(f, Top):
+        cache[key] = (m.state_set, (1 << len(m.states)) - 1)
+        return m.state_set
+    elif isinstance(f, Bot):
+        cache[key] = (_EMPTY, 0)
+        return _EMPTY
     else:
         raise FlavorError(f"no evaluation clause for {op.__name__}")
     if not mask:

@@ -19,9 +19,19 @@ old_transitivity_violation keeps validate's previous transitivity
 check verbatim: relations.missing_transitivity on the frozenset of
 pairs, then a search for the middle state.  It was cubic in the states
 on a dense order.  The check on rows must report the same triple.
+
+old_pairs and old_model_from_dict keep the previous JSON loader
+verbatim but for their names: it checked the shape of every relation
+in a pass of its own and handed the lists to Model.make, which read
+each pair again into its row.  The loader now checks each pair as it
+ORs it into its row.  On valid dictionaries both must build equal
+models, with equal rows, valuation and flavor; on dictionaries with
+one or two faults both must raise the same error with the same text,
+which pins the order in which the checks run.
 """
 
 import random
+import re
 import tracemalloc
 from typing import Sequence
 
@@ -30,9 +40,10 @@ import pytest
 from kripkit import build_example
 from kripkit import relations as rel
 from kripkit.errors import ModelFormatError
-from kripkit.model import (_ATOM_NAME, _SHAPES, EK, FLAVORS, FS, GPT, H,
-                           STANDARD, TENSE, Model, Violation,
-                           _coherence_violations, model_to_dict)
+from kripkit.model import (_ATOM_NAME, _MODEL_KEYS, _SHAPES, EK, FLAVORS,
+                           FS, GPT, H, STANDARD, TENSE, Model, Violation,
+                           _coherence_violations, model_from_dict,
+                           model_to_dict)
 from kripkit.sampling import random_model
 
 
@@ -383,3 +394,242 @@ def test_transitivity_violation_matches_reference_on_constructor_input():
             assert _transitivity_violation(m) == want, seed
             found += len(want)
     assert found == 375
+
+
+# ---------------------------------------------------------------------------
+# The JSON loader
+
+
+def old_pairs(value, what):
+    """value, checked to be a list of [from, to] pairs of strings."""
+    if not isinstance(value, list):
+        raise ModelFormatError(f"{what} must be a list of pairs")
+    for item in value:
+        if not (isinstance(item, list) and len(item) == 2
+                and isinstance(item[0], str) and isinstance(item[1], str)):
+            raise ModelFormatError(f"{what} must contain [from, to] pairs")
+    return value
+
+
+def old_model_from_dict(data) -> Model:
+    """Strictly parse the JSON model object.  The order is given by
+    generators under "leq_gen" and closed into a preorder here."""
+    if not isinstance(data, dict):
+        raise ModelFormatError("model file must hold a JSON object")
+    unknown = set(data) - _MODEL_KEYS
+    if unknown:
+        raise ModelFormatError(f"unknown model key {sorted(unknown)[0]!r}")
+    for key in ("states", "leq_gen", "valuation"):
+        if key not in data:
+            raise ModelFormatError(f"model is missing {key!r}")
+    states = data["states"]
+    if (not isinstance(states, list)
+            or not all(isinstance(s, str) for s in states)):
+        raise ModelFormatError("states must be a list of strings")
+    leq_gen = old_pairs(data["leq_gen"], "leq_gen")
+    rels = {}
+    for key in ("boxes", "diamonds"):
+        value = data.get(key, [])
+        if not isinstance(value, list):
+            raise ModelFormatError(f"{key} must be a list of relations")
+        rels[key] = [old_pairs(r, f"{key}[{i}]") for i, r in enumerate(value)]
+    valuation = data["valuation"]
+    if not isinstance(valuation, dict):
+        raise ModelFormatError("valuation must be an object")
+    for atom, xs in valuation.items():
+        if not isinstance(xs, list) or not all(isinstance(s, str) for s in xs):
+            raise ModelFormatError(f"valuation of {atom!r} must list states")
+    flavor = data.get("flavor", STANDARD)
+    if not isinstance(flavor, str):
+        raise ModelFormatError("flavor must be a string")
+    return Model.make(states, leq_gen, boxes=rels["boxes"],
+                      diamonds=rels["diamonds"], valuation=valuation,
+                      flavor=flavor)
+
+
+def _data(rng: random.Random) -> dict:
+    """A model dictionary as a file might hold it, from _args: states
+    in any order, order generators, duplicate pairs, relation counts
+    right for the flavor most of the time, and the optional keys left
+    out now and then.  Some dictionaries name their states by single
+    letters, so that a two-letter string spells a pair of them."""
+    states, leq, boxes, diamonds, valuation, flavor = _args(rng)
+    name = {s: s for s in states}
+    if rng.random() < 0.3:
+        name = dict(zip(states, "abcdefgh"))
+
+    def pairs(r):
+        return [[name[a], name[b]] for a, b in r]
+
+    data = {"states": [name[s] for s in states], "leq_gen": pairs(leq),
+            "boxes": [pairs(r) for r in boxes],
+            "diamonds": [pairs(s) for s in diamonds],
+            "valuation": {atom: [name[s] for s in xs]
+                          for atom, xs in valuation.items()},
+            "flavor": flavor}
+    for key, default in (("boxes", []), ("diamonds", []),
+                         ("flavor", STANDARD)):
+        if data[key] == default and rng.random() < 0.5:
+            del data[key]
+    return data
+
+
+# values that are not strings, hashable and not
+NOT_NAMES = (1, None, True, 2.5, ["a"], {"a": 1})
+
+
+def _fault(rng: random.Random, data: dict) -> None:
+    """Put into data, in place, one fault of a kind test_model.py pins:
+    a relation that is not a list, a pair that is short, long, a
+    string or a tuple, a name that is not a string, a pair naming an
+    unknown state, a states list that is not one of strings, empty or
+    repeating a name, a bad valuation or flavor, or a bad key."""
+    states = data.get("states")
+    names = states if isinstance(states, list) and states else ["a"]
+    a, b = rng.choice(names), rng.choice(names)
+    relations = [data.get("leq_gen")] + [
+        r for key in ("boxes", "diamonds")
+        if isinstance(data.get(key), list) for r in data[key]]
+    relations = [r for r in relations if isinstance(r, list)]
+    kind = rng.randrange(12)
+    if kind == 0:  # a relation, or a list of them, that is not a list
+        where = rng.choice(["leq_gen", "boxes", "diamonds", "boxes[]",
+                            "diamonds[]"])
+        bad = rng.choice(["a<b", {"a": "b"}, 7, None])
+        listed = data.get(where[:-2])
+        if where.endswith("[]") and isinstance(listed, list) and listed:
+            listed[rng.randrange(len(listed))] = bad
+        else:
+            data[where.rstrip("[]")] = bad
+    elif kind <= 5:  # a bad pair among good ones
+        bad = [[a], [], [a, b, b], f"{a}{b}", (a, b),
+               [a, rng.choice(NOT_NAMES)], [rng.choice(NOT_NAMES), b],
+               [a, "zz"], ["zz", b], ["zz", "zz"]][rng.randrange(10)]
+        if relations:
+            target = rng.choice(relations)
+            target.insert(rng.randrange(len(target) + 1), bad)
+    elif kind == 6:  # the states
+        data["states"] = rng.choice([
+            "abc", [*names, 3], [], [*names, rng.choice(names)],
+            [*names, ""], [*names[:-1]]])
+    elif kind == 7:  # the valuation
+        if rng.random() < 0.2 or not isinstance(data.get("valuation"), dict):
+            data["valuation"] = rng.choice([[], "p", None])
+        else:
+            data["valuation"][rng.choice(["p", "q", "P", "1p", "r"])] = (
+                rng.choice([[a], ["zz"], "a", [1], [a, None], {a: 1}]))
+    elif kind == 8:  # the flavor
+        data["flavor"] = rng.choice([3, None, "nope", *FLAVORS])
+    elif kind == 9:  # a count of relations the flavor does not store
+        data[rng.choice(["boxes", "diamonds"])] = [[] for _ in range(
+            rng.randint(0, 3))]
+    elif kind == 10:
+        data[rng.choice(["extra", "Boxes", "leq"])] = []
+    else:
+        data.pop(rng.choice(["states", "leq_gen", "valuation"]), None)
+
+
+def loaded(fn, data):
+    """The model fn builds from data, or the type and text of what it
+    raised."""
+    try:
+        return fn(data)
+    except (ModelFormatError, ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _compare_loaders(data) -> object:
+    new, old = loaded(model_from_dict, data), loaded(old_model_from_dict, data)
+    if isinstance(old, tuple):
+        assert new == old, data
+        return old
+    assert isinstance(new, Model), (data, new)
+    assert new == old
+    assert new.states == old.states
+    assert new._leq_rows == old._leq_rows
+    assert new._box_rows == old._box_rows
+    assert new._dia_rows == old._dia_rows
+    assert new.valuation == old.valuation
+    assert new.flavor == old.flavor
+    return old
+
+
+def test_loader_matches_reference_on_random_dictionaries():
+    built_models = 0
+    for seed in CASES:
+        out = _compare_loaders(_data(random.Random(f"load/{seed}")))
+        built_models += isinstance(out, Model)
+    assert built_models > len(CASES) // 2
+
+
+@pytest.mark.parametrize("flavor", FLAVORS)
+def test_loader_matches_reference_on_sampled_models(flavor):
+    kw = {STANDARD: dict(n_boxes=2, n_diamonds=1), EK: dict(n_boxes=2)}
+    for seed in range(8):
+        rng = random.Random(f"load/{flavor}/{seed}")
+        m = random_model(rng, flavor, n_states=rng.choice((1, 4, 12, 30)),
+                         strict=seed % 2 == 0, **kw.get(flavor, {}))
+        assert _compare_loaders(model_to_dict(m)) == m
+
+
+@pytest.mark.parametrize("example", [
+    ("wedge", ()), ("wedge_strict", ()), ("spines", (4,)), ("spines", (12,)),
+    ("porcupine", (3,)), ("porcupine_trimmed", (3,)), ("omega_chain", (5,))],
+    ids=str)
+def test_loader_matches_reference_on_the_gallery(example):
+    m = build_example(*example)
+    assert _compare_loaders(model_to_dict(m)) == m
+
+
+def _kind(message: str) -> str:
+    """An error's text up to the first name it quotes."""
+    return re.split(r"[('\[]", message, maxsplit=1)[0]
+
+
+def test_loader_errors_match_reference():
+    kinds = set()
+    for seed in CASES:
+        rng = random.Random(f"load-fault/{seed}")
+        data = _data(rng)
+        for _ in range(rng.choice((1, 2))):
+            _fault(rng, data)
+        out = _compare_loaders(data)
+        if isinstance(out, tuple):
+            kinds.add(_kind(out[1]))
+    # every check the loader makes was the first to fail somewhere
+    assert kinds >= {
+        "leq_gen must be a list of pairs", "leq_gen must contain ",
+        "boxes", "diamonds", "states must be a list of strings",
+        "a model needs at least one state", "duplicate state names",
+        "state names must be nonempty strings",
+        "leq mentions unknown state in ", "box relation 1 mentions "
+        "unknown state in ", "diamond relation 1 mentions unknown state in ",
+        "valuation must be an object", "valuation of ", "atom name ",
+        "flavor must be a string", "unknown flavor ", "flavor ",
+        "unknown model key ", "model is missing "}, kinds
+
+
+@pytest.mark.parametrize("data", [
+    # a shape fault after an unknown state: the shape is reported
+    {"states": ["a"], "leq_gen": [["a", "zz"], ["a"]], "valuation": {}},
+    {"states": ["a"], "leq_gen": [["zz", "a"]], "boxes": [[["a", 1]]],
+     "valuation": {}},
+    # unknown states in two relations: the first relation's is reported
+    {"states": ["a"], "leq_gen": [["a", "a"]], "boxes": [[["a", "y"]]],
+     "diamonds": [[["x", "a"]]], "valuation": {}},
+    # an unknown state after a bad valuation, and after bad states
+    {"states": ["a"], "leq_gen": [["a", "zz"]], "valuation": {"p": "a"}},
+    {"states": ["a", "a"], "leq_gen": [["a", "zz"]], "valuation": {}},
+    {"states": [], "leq_gen": [["a", "b"]], "valuation": {}},
+    # an unknown state before a bad flavor count and a bad atom
+    {"states": ["a"], "leq_gen": [["a", "zz"]], "valuation": {"P": ["a"]},
+     "flavor": "fs"},
+    # a two-letter string and a tuple, though each spells a pair of states
+    {"states": ["a", "b"], "leq_gen": ["ab"], "valuation": {}},
+    {"states": ["a", "b"], "leq_gen": [("a", "b")], "valuation": {}},
+    # names that are no strings: unhashable, and equal to a state's index
+    {"states": ["a"], "leq_gen": [["a", ["a"]]], "valuation": {}},
+    {"states": ["a"], "leq_gen": [[0, "a"]], "valuation": {}},
+], ids=str)
+def test_loader_matches_reference_on_edge_cases(data):
+    assert isinstance(_compare_loaders(data), tuple)

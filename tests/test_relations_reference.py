@@ -492,6 +492,39 @@ def test_row_primitives_match_reference_at_the_density_switch():
         _same_rows(chain, chain)
 
 
+def _rows_of(rng: random.Random, n: int, values: int, bits: int) -> list[int]:
+    """n rows of n bits, each one of `values` distinct rows (as many as
+    there are when fewer) that hold `bits` set bits apiece, so that
+    the rows hold exactly n * bits pairs."""
+    pool = {sum(1 << j for j in rng.sample(range(n), bits))
+            for _ in range(4 * values)}
+    pool = sorted(pool)[:values]
+    return [pool[i % len(pool)] for i in rng.sample(range(n), n)]
+
+
+def test_dense_closure_matches_reference_on_distinct_rows():
+    # Dense rows are closed on their distinct values: one, a few and
+    # all distinct, each row holding one bit fewer than a quarter of
+    # the states (rounded up), that quarter, one bit more, or every
+    # bit, so that the rows fall on both sides of the density switch
+    # and, where 4 divides n, on it
+    rng = random.Random(18)
+    seen = set()
+    for n in (1, 2, 4, 7, 8, 16, 30, 45, 64):
+        quarter = -(-n // 4)
+        for values in (1, 2, 3, n):
+            for bits in {max(quarter - 1, 0), quarter, quarter + 1, n}:
+                if bits > n:
+                    continue
+                rows = _rows_of(rng, n, values, bits)
+                seen.add(rel._dense(rows))
+                closed, ref = list(rows), list(rows)
+                rel._close_rows(closed)
+                _close_rows(ref, _transpose(ref))
+                assert closed == ref, (n, values, bits)
+    assert seen == {False, True}
+
+
 def _truth_sets(data: dict, formulas: list, monkeypatch=None) -> list:
     """Rows of the model data loads into and the truth set of every
     formula on it, with the reference primitives if monkeypatch is

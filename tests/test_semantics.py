@@ -11,7 +11,8 @@ import kripkit.relations as rel
 import test_relations_reference as ref
 from kripkit import Model, build_example, parse, semantics
 from kripkit.errors import FlavorError, ModelFormatError, PreconditionError
-from kripkit.formula import _MODAL_SYMBOL, Box, Dia, TBox, TDia
+from kripkit.formula import (_MODAL_SYMBOL, Box, Dia, TBox, TDia, _Const,
+                             _Modal)
 from kripkit.model import _SHAPES
 from kripkit.sampling import random_formula, random_model
 from kripkit.semantics import (back_box_relation, back_dia_relation,
@@ -143,6 +144,24 @@ def test_ek_boxes_and_common_knowledge():
 def test_ck_outside_ek_is_rejected():
     with pytest.raises(FlavorError):
         truth_set(parse("C p"), WEDGE)
+
+
+def test_nodes_of_unknown_classes_have_no_clause():
+    # classes of each shape that are none of the package's own, at the
+    # root and below one of its nodes
+    class Odd(_Modal):
+        """A modality of no flavor."""
+
+    class Blank(_Const):
+        """A constant of no flavor."""
+
+    for f, name in [(Odd(1, kk.Atom("p")), "Odd"), (Blank(), "Blank"),
+                    (kk.And(kk.Atom("p"), Odd(1, kk.Top())), "Odd"),
+                    (kk.Box(1, kk.Or(Blank(), kk.Atom("q"))), "Blank")]:
+        with pytest.raises(FlavorError,
+                           match=f"^no evaluation clause for {name}$"):
+            truth_set(f, WEDGE)
+        assert (f, False) not in WEDGE._eval_cache
 
 
 def test_ck_unfolds_once():
@@ -411,6 +430,24 @@ def test_eval_cache_stays_bounded(monkeypatch):
                 assert max(seen, default=0) <= cap + _height(f) + 1
                 emptied += any(b < a for a, b in zip(seen, seen[1:]))
     assert emptied  # the cap was reached, and the cache emptied
+
+
+def test_mask_scans_on_both_sides_of_the_switch():
+    # short lists build the result a bit at a time, long ones read it
+    # off a string of flags; both must set bit k exactly where masks[k]
+    # misses (or meets) d, d negative too, as the _Kernel passes ~a
+    rng = random.Random(29)
+    edge = semantics._LONG_SCAN
+    for n in (0, 1, 2, edge - 1, edge, edge + 1, 3 * edge):
+        for density in (0, 0.05, 0.5, 1):
+            masks = [sum(1 << j for j in range(n) if rng.random() < density)
+                     for _ in range(n)]
+            for d in (0, rng.getrandbits(n + 1), ~rng.getrandbits(n + 1)):
+                meeting = sum(1 << k for k, mask in enumerate(masks)
+                              if mask & d)
+                assert semantics._bits_meeting(masks, d) == meeting
+                assert (semantics._bits_disjoint(masks, d)
+                        == meeting ^ ((1 << n) - 1))
 
 
 def test_stored_entries_and_their_masks():
