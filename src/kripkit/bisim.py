@@ -25,15 +25,20 @@ conditions_for picks the clause set matching a syntactic fragment and
 a model flavor.  greatest_bisimulation refines the atom-agreeing
 relation in rounds, each judged against the relation as it stood at
 the start of the round, so a removal's stage is meaningful (the
-distinguishing formula needs nesting depth at most the stage).  It
-runs on a compiled kernel: the relation as row and column bit masks
-over the table's state numbering, each clause as the table's
-successor masks.
-Only round 1 judges every pair.  A pair that held in round k can fail
-in round k+1 only if a successor pair under some clause left in round
-k, so each later round re-checks just the surviving predecessors of
-the last round's removals, and the trace is the one a full re-check
-of every pair would give.  is_bisimulation reads the same kernel.
+distinguishing formula needs nesting depth at most the stage).
+
+The rounds refine classes of the disjoint union m ⊎ m2: every clause
+set conditions_for builds pairs each zig with its zag, so the relation
+after round k is the cross part of the k-step equivalence on the
+union, and a class holding states of one model only never holds a
+pair again (greatest_bisimulation gives the argument).  Only the
+removed pairs are judged clause by clause, on a compiled kernel: the
+relation of the round before as row and column bit masks over the
+table's state numbering, each clause as the table's successor masks.
+So the trace names the clause and transition a re-check of every pair
+in every round would.  is_bisimulation reads the same kernel, and
+bisimilarity_partition reads its blocks off the classes of a model
+against itself.
 """
 
 from __future__ import annotations
@@ -217,18 +222,27 @@ class _Kernel:
     the left states paired with right state j.  Each check is (clause,
     zig, own, other, table): a zig reads left successors (own, by i)
     against right ones (other, by j) through rows, a zag the other way
-    round through cols.  A check is compiled the first time a pair
-    reaches it, since on small models most pairs fail an early clause;
-    its successor masks are the table's entries for its shape.
+    round through cols.  Its successor masks are the table's entries
+    for its shape.
     """
 
     def __init__(self, clauses: list[tuple], m: Model, m2: Model):
-        self.models = (m, m2)
         self.states, self.states2 = m.states, m2.states
         self.rows = [0] * len(m.states)
         self.cols = [0] * len(m2.states)
-        self.clauses = clauses
-        self.checks: list[tuple | None] = [None] * len(clauses)
+        # (left, right) successor masks of each table entry read
+        self.succs: dict[tuple, tuple[list[int], list[int]]] = {}
+        self.checks = []
+        for clause, direction, shape, index in clauses:
+            succs = self.succs.get((shape, index))
+            if succs is None:
+                succs = self.succs[shape, index] = (
+                    semantics._succ_masks(m, shape, index),
+                    semantics._succ_masks(m2, shape, index))
+            left, right = succs
+            self.checks.append((clause, True, left, right, self.rows)
+                               if direction == "zig" else
+                               (clause, False, right, left, self.cols))
         self.atoms = sorted(set(m.valuation) | set(m2.valuation))
         self.sig = _atom_signatures(m, self.atoms)
         self.sig2 = _atom_signatures(m2, self.atoms)
@@ -241,26 +255,13 @@ class _Kernel:
             return None
         return self.atoms[(differ & -differ).bit_length() - 1]
 
-    def check(self, k: int) -> tuple:
-        """The compiled form of clauses[k]."""
-        clause, direction, shape, index = self.clauses[k]
-        left, right = (semantics._succ_masks(model, shape, index)
-                       for model in self.models)
-        if direction == "zig":
-            compiled = (clause, True, left, right, self.rows)
-        else:
-            compiled = (clause, False, right, left, self.cols)
-        self.checks[k] = compiled
-        return compiled
-
     def first_failure(self, i: int, j: int, start: int = 0):
         """The first clause, from checks[start] on, that pair (i, j)
         fails against the current rows and cols, as (k, clause, side,
         transition) naming the first transition the other side cannot
         answer; None if they all hold."""
-        checks = self.checks
-        for k in range(start, len(checks)):
-            clause, zig, own, other, table = checks[k] or self.check(k)
+        for k, (clause, zig, own, other, table) in enumerate(
+                self.checks[start:] if start else self.checks, start):
             if zig:
                 succ, cover = own[i], other[j]
             else:
@@ -277,23 +278,16 @@ class _Kernel:
                 succ ^= low
         return None
 
-    def predecessors(self) -> list[tuple[list[int], list[int]]]:
-        """The predecessor masks, (left, right), of each distinct table
-        entry the clauses read: the successor masks of its converse."""
-        entries = dict.fromkeys((semantics._CONVERSE[shape], index)
-                                for *_, shape, index in self.clauses)
-        return [tuple(semantics._succ_masks(model, *entry)
-                      for model in self.models) for entry in entries]
-
 
 def _atom_signatures(m: Model, atoms: list[str]) -> list[int]:
     """Per state, bit k set when atoms[k] holds there."""
-    sig = dict.fromkeys(m.states, 0)
+    index = m._index
+    sig = [0] * len(index)
     for k, a in enumerate(atoms):
         bit = 1 << k
         for x in m.valuation.get(a, _EMPTY):
-            sig[x] |= bit
-    return list(sig.values())
+            sig[index[x]] |= bit
+    return sig
 
 
 # ---------------------------------------------------------------------------
@@ -382,94 +376,177 @@ def greatest_bisimulation(m: Model, m2: Model,
     order, each by its first failing clause in the fixed clause order
     and that clause's first unmatched transition.
 
-    Round 1 judges every atom-agreeing pair.  After that the work
-    follows a worklist: a pair that held in round k can fail in round
-    k+1 only if one of its successor pairs under some clause (a pair
-    (y, y') with y a left and y' a right successor of the same map
-    pair) left in round k, since nothing else its clauses read has
-    changed.  So each later round judges only the surviving
-    predecessors of the previous round's removals, found through the
-    successor masks of each clause's converse.  The trace is the one
-    the naive re-check of every pair in every round would produce.
+    The rounds run as class refinement of the disjoint union m ⊎ m2
+    (Kanellakis & Smolka, Inf. Comput. 1990; Blom & Orzan, STTT 2005).
+    A clause set that pairs every zig with its zag, as conditions_for's
+    always do, keeps a pair through round k exactly when its two
+    states have, for every relation the clauses read, successors in
+    the same classes of round k-1; so the relation after round k is
+    the cross part of the k-step equivalence on the union.  Classes
+    start as the atom signatures, and a state's class in round k is
+    its class in round k-1 together with, relation by relation, the
+    set of its successors' classes in round k-1.  A pair's stage is the
+    first round that separates its two states, and only such pairs are
+    judged clause by clause, against the relation of the round before.
+    A class whose states all lie in one model holds no pair and never
+    will again, so all such classes of one model are merged into one
+    and their states no longer signed.  The rounds stop at the first
+    that removes no pair, or as soon as no class holds states of both
+    models, even if classes of one model would still split.  A clause
+    set with a zig but not its zag raises PreconditionError.
 
     Returns (relation, RefinementTrace).
     """
+    kernel, removals, rounds = _refine(m, m2, conditions)
+    states, states2 = m.states, m2.states
+    pairs = frozenset((states[i], x2) for i, row in enumerate(kernel.rows)
+                      if row for x2 in rel._names(states2, row))
+    return pairs, RefinementTrace(tuple(removals), rounds)
+
+
+def _refine(m: Model, m2: Model, conditions: ConditionSet):
+    """The refinement of greatest_bisimulation, as (kernel, removals,
+    rounds); the kernel's rows and cols hold the fixpoint.
+
+    Each class of a round has a bit, and a state signs its successors'
+    classes, relation by relation, as the OR of their bits; the
+    signature is one int, the state's own class bit followed by one
+    part of `width` bits per relation.  Bits 0 and 1 stand for the
+    merged left-only and right-only classes: a successor there puts a
+    bit into the signature that no state of the other model can have,
+    so its state joins a one-sided class too.  Only states of mixed
+    classes are signed.  A class is a slot [left members, right
+    members, bit] keyed by its signature, so a left state's partners
+    after the round are its slot's right members.
+    """
+    if (conditions.order_forth != conditions.order_back
+            or conditions.dual_forth != conditions.dual_back):
+        raise PreconditionError(
+            "greatest_bisimulation needs every zig clause paired with its "
+            "zag; is_bisimulation checks one-way clause sets")
     kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
     states, states2 = m.states, m2.states
     rows, cols = kernel.rows, kernel.cols
-    first_failure = kernel.first_failure
+    sig, sig2 = kernel.sig, kernel.sig2
+    # stage 0: the classes are the atom signatures
+    left: dict[int, int] = {}
+    right: dict[int, int] = {}
+    for i, s in enumerate(sig):
+        left[s] = left.get(s, 0) | 1 << i
+    for j, s in enumerate(sig2):
+        right[s] = right.get(s, 0) | 1 << j
+    bit = {s: 4 << k for k, s in enumerate(left.keys() & right.keys())}
     removals: list[Removal] = []
-    for i, x in enumerate(states):
-        for j, x2 in enumerate(states2):
-            bad_atom = kernel.atom_disagreement(i, j)
-            if bad_atom is None:
-                rows[i] |= 1 << j
-                cols[j] |= 1 << i
-            else:
-                removals.append(Removal((x, x2), 0, "atoms", "", (bad_atom,)))
-    candidates = list(rows)
-    preds = None  # built once some pair outlives a round with removals
-    stage = 0
-    while True:
-        stage += 1
-        doomed: list[tuple[int, int, Removal]] = []
-        for i, row in enumerate(candidates):
-            while row:
-                low = row & -row
-                row ^= low
+    everyone2 = (1 << len(states2)) - 1
+    atoms = kernel.atoms
+    bits: list[int] = []
+    live: list[int] = []  # the left states in mixed classes
+    for i, (x, s) in enumerate(zip(states, sig)):
+        bits.append(bit.get(s, 1))
+        if bits[i] == 1:
+            gone = everyone2
+        else:
+            live.append(i)
+            rows[i] = right[s]
+            gone = everyone2 ^ rows[i]
+        while gone:
+            low = gone & -gone
+            gone ^= low
+            j = low.bit_length() - 1
+            differ = s ^ sig2[j]
+            removals.append(Removal(
+                (x, states2[j]), 0, "atoms", "",
+                (atoms[(differ & -differ).bit_length() - 1],)))
+    bits2: list[int] = []
+    live2: list[int] = []
+    for j, s in enumerate(sig2):
+        bits2.append(bit.get(s, 2))
+        if bits2[j] != 2:
+            live2.append(j)
+            cols[j] = left[s]
+
+    succs = [masks for masks, _ in kernel.succs.values()]
+    succs2 = [masks for _, masks in kernel.succs.values()]
+    first_failure = kernel.first_failure
+    width = len(bit) + 3
+    rounds = 0
+    while live:
+        stage = rounds + 1
+        slots: dict[int, list[int]] = {}
+        mine: list[list[int]] = []
+        mine2: list[list[int]] = []
+        for xs, own, masks, out, side in ((live, bits, succs, mine, 0),
+                                          (live2, bits2, succs2, mine2, 1)):
+            for x in xs:
+                key = own[x]
+                for succ in masks:
+                    key <<= width
+                    row = succ[x]
+                    while row:
+                        low = row & -row
+                        key |= own[low.bit_length() - 1]
+                        row ^= low
+                slot = slots.get(key)
+                if slot is None:
+                    slot = slots[key] = [0, 0]
+                slot[side] |= 1 << x
+                out.append(slot)
+        before = len(removals)
+        for x, slot in zip(live, mine):
+            gone = rows[x] ^ slot[1]
+            while gone:
+                low = gone & -gone
+                gone ^= low
                 j = low.bit_length() - 1
-                failure = first_failure(i, j)
-                if failure is not None:
-                    _, clause, side, transition = failure
-                    doomed.append((i, j, Removal((states[i], states2[j]),
-                                                 stage, clause, side,
-                                                 transition)))
-        if not doomed:
+                failure = first_failure(x, j)
+                if failure is None:
+                    raise InternalCheckError(
+                        f"pair ({states[x]}, {states2[j]}) left the "
+                        f"refinement in round {stage} but fails no clause")
+                _, clause, side, transition = failure
+                removals.append(Removal((states[x], states2[j]), stage,
+                                        clause, side, transition))
+        if len(removals) == before:
             break
-        gone: dict[int, int] = {}
-        for i, j, r in doomed:
-            rows[i] &= ~(1 << j)
-            cols[j] &= ~(1 << i)
-            gone[i] = gone.get(i, 0) | 1 << j
-            removals.append(r)
-        candidates = [0] * len(states)
-        if preds is None and any(rows):
-            preds = kernel.predecessors()
-        for pre, pre2 in preds or ():
-            for y, ys2 in gone.items():
-                hit = 0
-                while ys2:
-                    low = ys2 & -ys2
-                    ys2 ^= low
-                    hit |= pre2[low.bit_length() - 1]
-                xs = pre[y] if hit else 0
-                while xs:
-                    low = xs & -xs
-                    xs ^= low
-                    candidates[low.bit_length() - 1] |= hit
-        candidates = [c & row for c, row in zip(candidates, rows)]
-    pairs = frozenset((states[i], states2[j])
-                      for i, row in enumerate(rows)
-                      for j in rel._bits(row))
-    return pairs, RefinementTrace(tuple(removals), stage - 1)
+        rounds = stage
+        b = 4
+        for slot in slots.values():
+            if slot[0] and slot[1]:
+                slot.append(b)
+                b <<= 1
+            else:
+                slot.append(1 if slot[0] else 2)
+        width = b.bit_length()
+        for x, slot in zip(live, mine):
+            rows[x], bits[x] = slot[1:]
+        for x, slot in zip(live2, mine2):
+            cols[x] = slot[0]
+            bits2[x] = slot[2]
+        if b == 4:  # no class holds states of both models
+            break
+        live = [x for x in live if rows[x]]
+        live2 = [x for x in live2 if cols[x]]
+    return kernel, removals, rounds
 
 
 def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
     """Blocks of mutually bisimilar states of one model, named by
-    least member.  The fixpoint of a model against itself must come
-    out an equivalence; anything else is an internal bug."""
-    b, _ = greatest_bisimulation(m, m, conditions)
-    for x in m.states:
-        if (x, x) not in b:
+    least member: the classes of the model's refinement against
+    itself.  The fixpoint must come out an equivalence, which is
+    checked on its rows; anything else is an internal bug."""
+    kernel, _, _ = _refine(m, m, conditions)
+    rows = kernel.rows
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
             raise InternalCheckError(
-                f"bisimilarity is not reflexive at {x}")
-    if rel.converse(b) != b:
+                f"bisimilarity is not reflexive at {m.states[i]}")
+    if rows != rel._transpose(rows):
         raise InternalCheckError("bisimilarity is not symmetric")
-    if rel.missing_transitivity(b) is not None:
+    if any(two & ~row for two, row in zip(rel._compose_rows(rows, rows),
+                                          rows)):
         raise InternalCheckError("bisimilarity is not transitive")
-    succ = rel.successors(b)
-    blocks = {frozenset(succ[x]) for x in m.states}
-    return Partition.from_blocks(blocks)
+    return Partition.from_blocks(rel._names(m.states, row)
+                                 for row in set(rows))
 
 
 def directed_conversion(value):

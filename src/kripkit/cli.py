@@ -24,8 +24,8 @@ from . import bisim as bisim_mod
 from . import distinguish, genframe, sampling, semantics
 from .errors import ToolError
 from .formula import Fragment, parse, translate
-from .model import (FLAVORS, Model, _dumps, build_example, dualize, load_model,
-                    model_to_dict, quotient, read_json, strictify)
+from .model import (FLAVORS, Model, _dumps, _rebuilt, build_example, dualize,
+                    load_model, model_to_dict, quotient, read_json, strictify)
 
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
 
@@ -54,8 +54,7 @@ def _load(path: str, args) -> Model:
     flavor = getattr(args, "flavor", None)
     if flavor is None or flavor == m.flavor:
         return m
-    return Model(m.states, m.leq, boxes=m.boxes, diamonds=m.diamonds,
-                 valuation=m.valuation, flavor=flavor)
+    return _rebuilt(m, m.valuation, flavor)
 
 
 def _add_fragment_flags(sub) -> None:

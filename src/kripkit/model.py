@@ -535,8 +535,20 @@ def enrich_valuation(m: Model, defs: Sequence[tuple[str, object]]) -> Model:
         if atom in val:
             raise ModelFormatError(f"atom {atom!r} already has a valuation")
         val[atom] = truth_set(formula, m)
-    return Model(m.states, m.leq, boxes=m.boxes, diamonds=m.diamonds,
-                 valuation=val, flavor=m.flavor)
+    return _rebuilt(m, val, m.flavor)
+
+
+def _rebuilt(m: Model, valuation: Mapping[str, Iterable[str]],
+             flavor: str) -> Model:
+    """m's states, order and stored relations under another valuation
+    and flavor, on m's own rows (models never change their rows, so
+    the two share them).  The flavor's relation counts and the
+    valuation are checked by the step that ends every construction,
+    so the errors are the ones the constructor raises on m's pairs."""
+    out = Model.__new__(Model)
+    out._set_rows(m.states, m._index, m._leq_rows, m._box_rows, m._dia_rows,
+                  valuation, flavor)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,19 @@ def test_is_bisimulation_checks_carriers_and_flavors():
         greatest_bisimulation(WEDGE, other, BIINT_BOX)
 
 
+def test_refinement_needs_each_zig_with_its_zag():
+    for one_way, clauses in ((ConditionSet(order_forth=True), []),
+                             (ConditionSet(order_forth=True, order_back=True,
+                                           dual_back=True), ["dual_back"])):
+        for refine in (lambda c: greatest_bisimulation(WEDGE, WEDGE_STRICT, c),
+                       lambda c: bisimilarity_partition(WEDGE, c)):
+            with pytest.raises(PreconditionError, match="zig clause paired"):
+                refine(one_way)
+        # checking a given relation against one-way clauses still works
+        assert [v.clause for v in is_bisimulation(
+            {("z", "z")}, WEDGE, WEDGE_STRICT, one_way)] == clauses
+
+
 def test_fixpoint_is_itself_a_bisimulation():
     fix, _ = greatest_bisimulation(WEDGE, WEDGE_STRICT, BIINT_BOX)
     assert is_bisimulation(fix, WEDGE, WEDGE_STRICT, BIINT_BOX) == []

@@ -28,6 +28,12 @@ ORs it into its row.  On valid dictionaries both must build equal
 models, with equal rows, valuation and flavor; on dictionaries with
 one or two faults both must raise the same error with the same text,
 which pins the order in which the checks run.
+
+old_rebuilt keeps verbatim the rebuild that cli._load (under --flavor)
+and enrich_valuation made before they built on the model's rows: the
+constructor on the pairs decoded from every row.  For every source and
+target flavor both must build the same states, rows, valuation and
+flavor, or raise the same error with the same text.
 """
 
 import random
@@ -37,13 +43,14 @@ from typing import Sequence
 
 import pytest
 
-from kripkit import build_example
+from kripkit import build_example, semantics
 from kripkit import relations as rel
 from kripkit.errors import ModelFormatError
+from kripkit.formula import parse
 from kripkit.model import (_ATOM_NAME, _MODEL_KEYS, _SHAPES, EK, FLAVORS,
                            FS, GPT, H, STANDARD, TENSE, Model, Violation,
-                           _coherence_violations, model_from_dict,
-                           model_to_dict)
+                           _coherence_violations, _rebuilt, enrich_valuation,
+                           model_from_dict, model_to_dict)
 from kripkit.sampling import random_model
 
 
@@ -633,3 +640,73 @@ def test_loader_errors_match_reference():
 ], ids=str)
 def test_loader_matches_reference_on_edge_cases(data):
     assert isinstance(_compare_loaders(data), tuple)
+
+
+def old_rebuilt(m: Model, valuation, flavor: str) -> Model:
+    return Model(m.states, m.leq, boxes=m.boxes, diamonds=m.diamonds,
+                 valuation=valuation, flavor=flavor)
+
+
+def _compare_rebuilds(m: Model, valuation, flavor) -> object:
+    new = loaded(lambda _: _rebuilt(m, valuation, flavor), None)
+    old = loaded(lambda _: old_rebuilt(m, valuation, flavor), None)
+    if isinstance(old, tuple):
+        assert new == old, (m, flavor)
+        return old
+    assert isinstance(new, Model), (m, flavor, new)
+    assert new.states == old.states
+    assert new._leq_rows == old._leq_rows
+    assert new._box_rows == old._box_rows
+    assert new._dia_rows == old._dia_rows
+    assert new.valuation == old.valuation
+    assert new.flavor == old.flavor
+    assert new == old
+    return old
+
+
+def _valuations(rng: random.Random, m: Model) -> list:
+    """m's own valuation, one with a fresh atom, and three with a
+    fault: a bad atom name, an unknown state, a value that is no
+    collection of states."""
+    some = rng.sample(m.states, rng.randint(0, len(m.states)))
+    return [m.valuation, {**m.valuation, "fresh": some},
+            {**m.valuation, "Bad": some}, {**m.valuation, "r": ["zz"]},
+            {**m.valuation, "r": 3}]
+
+
+def _rebuild_sources():
+    kw = {STANDARD: dict(n_boxes=2, n_diamonds=1), EK: dict(n_boxes=2)}
+    for flavor in FLAVORS:
+        for seed in range(4):
+            rng = random.Random(f"rebuild/{flavor}/{seed}")
+            yield rng, random_model(rng, flavor,
+                                    n_states=rng.choice((1, 4, 12)),
+                                    strict=seed % 2 == 0,
+                                    **kw.get(flavor, {}))
+    for example in (("wedge", ()), ("spines", (4,)), ("porcupine", (3,)),
+                    ("omega_chain", (5,))):
+        yield random.Random(f"rebuild/{example}"), build_example(*example)
+
+
+def test_rebuild_matches_reference_for_every_flavor():
+    outcomes = set()
+    for rng, m in _rebuild_sources():
+        for flavor in (*FLAVORS, "nope"):
+            for valuation in _valuations(rng, m):
+                out = _compare_rebuilds(m, valuation, flavor)
+                outcomes.add(f"{out[0].__name__}: {_kind(out[1])}"
+                             if isinstance(out, tuple) else "built")
+    assert outcomes == {
+        "built", "ModelFormatError: flavor ",
+        "ModelFormatError: unknown flavor ", "ModelFormatError: atom name ",
+        "ModelFormatError: valuation of r mentions unknown state ",
+        "TypeError: "}, outcomes
+
+
+def test_enrich_valuation_matches_reference():
+    for rng, m in _rebuild_sources():
+        formula = parse("p -> q")
+        val = {**m.valuation,
+               "fresh": semantics.truth_set(formula, m)}
+        assert (enrich_valuation(m, [("fresh", formula)])
+                == _compare_rebuilds(m, val, m.flavor))
