@@ -21,6 +21,12 @@ clause's diamond, true on the owner side.  T -> χ collapses to χ and
 χ -< F to χ, which keeps witnesses readable (and reproduces textbook
 separators like nested boxes over F).
 
+The replay reads each cover straight off the successor masks of the
+clause's table entry in semantics, the ones the refinement reads,
+walking its bits from low to high, which is sorted name order, and
+keeps each pair's witness in a slot addressed by the two state
+numbers; no successor map or name-keyed table is decoded.
+
 The argument that Φ -> Ψ behaves needs the cover to be closed upward,
 which is why synthesis insists on strictly condensed models whenever a
 modal clause is in play; the order clauses get closure from
@@ -33,7 +39,8 @@ the sets the fragment's formulas define over both models at once and
 declares two states equivalent when no definable set splits them.
 Those sets are the upsets of one preorder on the states (Birkhoff), so
 without a budget the oracle refines that preorder by the connectives
-applied to irreducible sets, in polynomial time; a budget instead
+applied to irreducible sets, each connective to each irreducible once,
+in polynomial time; a budget instead
 lists definable sets, cheapest formula first.  It works on bit masks,
 and the preorder refinement is semantics._definable_preorder, which
 genframe.close_algebra and genframe.is_general_model share; it shares
@@ -49,8 +56,8 @@ from functools import reduce
 from typing import Iterable
 
 from . import semantics
-from .bisim import (ConditionSet, _check_counts, conditions_for,
-                    greatest_bisimulation, resolved_tasks)
+from .bisim import (ConditionSet, _check_counts, _resolved, conditions_for,
+                    greatest_bisimulation)
 from .errors import InternalCheckError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Dia, Formula, Fragment, Imp, Or,
                       Sub, TBox, TDia, Top, connective_count, to_string)
@@ -114,6 +121,12 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
     """Compute the greatest bisimulation for the fragment's clause set
     and a verified distinguishing formula for every discarded pair.
 
+    The trace is replayed in removal order.  A removal's cover is the
+    other side's successor mask for its clause, read from the model's
+    table, and its pairs with the transition's target are looked up in
+    state order, bit by bit from low to high; each witness is kept in
+    the slot i * len(m2.states) + j of its pair's state numbers.
+
     Returns (fixpoint relation, list of Witness in removal order).
     """
     if m.flavor != m2.flavor:
@@ -143,11 +156,15 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                     "the model first)")
 
     fixpoint, trace = greatest_bisimulation(m, m2, conditions)
-    tasks = {t.clause: t for t in resolved_tasks(conditions, m, m2)}
-    by_pair: dict[tuple[str, str], Witness] = {}
+    # clause -> (shape, index, left successor masks, right ones)
+    clauses = {clause: (shape, index, semantics._succ_masks(m, shape, index),
+                        semantics._succ_masks(m2, shape, index))
+               for clause, _, shape, index in _resolved(conditions, m, m2)}
+    states, states2 = m.states, m2.states
+    index1, index2 = m._index, m2._index
+    n2 = len(states2)
+    slots: list[Witness | None] = [None] * (len(states) * n2)
     out: list[Witness] = []
-    # (clause, owner, state) -> the other side's cover of state, sorted
-    covers: dict[tuple[str, str, str], list[str]] = {}
 
     for removal in trace.removals:
         x, x2 = removal.pair
@@ -157,24 +174,26 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
             orientation = ("left" if x in m.valuation.get(atom, _EMPTY)
                            else "right")
         else:
-            task = tasks[removal.clause]
-            shape, index = task.shape, task.index
+            shape, index, succ, succ2 = clauses[removal.clause]
             owner = removal.side
             t = removal.transition[1]
-            key = (removal.clause, owner, x2 if owner == "left" else x)
-            cover = covers.get(key)
-            if cover is None:
-                succ = task.right if owner == "left" else task.left
-                cover = covers[key] = sorted(succ.get(key[2], _EMPTY))
+            # the other side's cover, walked in state (sorted name) order
             if owner == "left":
-                earlier = [(t, c) for c in cover]
+                cover = succ2[index2[x2]]
+                base, step = index1[t] * n2, 1
             else:
-                earlier = [(c, t) for c in cover]
+                cover = succ[index1[x]]
+                base, step = index2[t], n2
             true_at_t: list[Formula] = []
             true_at_cover: list[Formula] = []
-            for pair in earlier:
-                w = by_pair.get(pair)
+            while cover:
+                low = cover & -cover
+                cover ^= low
+                c = low.bit_length() - 1
+                w = slots[base + c * step]
                 if w is None:
+                    pair = ((t, states2[c]) if owner == "left"
+                            else (states[c], t))
                     raise InternalCheckError(
                         f"trace replay hit pair {pair} with no witness "
                         f"while handling {removal.pair}")
@@ -201,7 +220,7 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                 f"synthesized witness for {removal.pair} does not separate "
                 f"(clause {removal.clause}): {formula}")
         witness = Witness(removal.pair, formula, orientation, removal.stage)
-        by_pair[removal.pair] = witness
+        slots[index1[x] * n2 + index2[x2]] = witness
         out.append(witness)
     return fixpoint, out
 

@@ -37,16 +37,19 @@ converse is a transpose; a composition ORs the right factor's rows
 named by each row of the left one; and C's closure is Warshall's on
 the union of the rows.  relations picks the method of each from the
 density of the rows.  truth_set, semantic_operator, the refinement,
-the oracle and genframe all read these masks.  Frozensets appear only
-where the public API returns them: the relation readers below and
-bisim.resolved_tasks decode an entry once per call, at one step per
-pair, and truth_set decodes one mask per node it evaluates, but for
-the empty and the full mask, which stand for the shared empty set
-and the model's state_set.
+the oracle, genframe and the trace replay of witness synthesis all
+read these masks.  Frozensets appear only where the public API returns
+them: the relation readers below and bisim.resolved_tasks decode an
+entry once per call, at one step per pair, and truth_set decodes one
+mask per node it evaluates, but for the empty and the full mask, which
+stand for the shared empty set and the model's state_set.  Nothing in
+the package calls resolved_tasks; it is kept for callers who want the
+clauses as maps.
 
 _Kernel lays several models' masks side by side, and
 _definable_preorder computes the least family of masks closed under
-its connectives as the preorder that family is the upsets of.  The
+its connectives as the preorder that family is the upsets of, giving
+each connective each irreducible argument once.  The
 exact oracle and close_algebra build their families that way, and
 is_general_model tests a family's closure on it.
 Truth sets are cached on the model as well, with their masks, so
@@ -310,27 +313,43 @@ def _definable_preorder(n: int, generators: list[int], modal: list,
     carrier minus the down mask of a class (the states below it);
     diamonds go to the join-irreducibles, the up masks; an arrow
     depends on a & ~b only, which over a join- and a meet-irreducible
-    is an up mask and a down mask.  Each round applies every
-    connective to the current irreducibles and cuts the preorder by
-    the results; a round that cuts nothing ends the loop."""
+    is an up mask and a down mask.  Each round cuts the preorder by the
+    connectives applied to the current irreducibles, and a round that
+    cuts nothing ends the loop.
+
+    The evaluation is semi-naive (Bancilhon & Ramakrishnan, SIGMOD
+    1986): the meet-irreducibles already given to the boxes, the
+    join-irreducibles already given to the diamonds and the spans
+    already given to the arrows are remembered, and each round applies
+    a connective only to arguments it has not seen.  That loses no cut.
+    A connective's result depends on its argument alone, so a seen
+    argument gives a mask the preorder was already cut by; and a cut is
+    idempotent: once the preorder is cut by s, every class meeting s
+    has its up mask inside s, later cuts only shrink up masks and split
+    members, so cutting by s again changes nothing."""
     full = (1 << n) - 1
     classes = {full: full}
     _refine(classes, generators)
+    seen_meets: set[int] = set()
+    seen_joins: set[int] = set()
+    seen_spans = {0}
     while True:
         downs = []
         for members in classes.values():
             low = members & -members
             downs.append(reduce(or_, [below for up, below in classes.items()
                                       if up & low]))
+        meets = [a for down in downs if (a := full & ~down) not in seen_meets]
+        seen_meets.update(meets)
+        joins = [up for up in classes if up not in seen_joins]
+        seen_joins.update(joins)
         fresh = set()
         for op, preserves_meets in modal:
-            if preserves_meets:
-                fresh.update([op(full & ~down) for down in downs])
-            else:
-                fresh.update(map(op, classes))
+            fresh.update(map(op, meets if preserves_meets else joins))
         if arrows:
             spans = {up & down for up in classes for down in downs}
-            spans.discard(0)
+            spans -= seen_spans
+            seen_spans |= spans
             for arrow in arrows:
                 fresh.update(map(arrow, spans))
         if not _refine(classes, fresh):

@@ -15,11 +15,21 @@ close_algebra with it.
 Pairs too large for either reference are checked against the
 bisimulation fixpoint, which the exact oracle equals wherever the
 Hennessy-Milner property holds.
+
+reference_definable_preorder keeps verbatim, but for its name, the
+preorder loop that applied every connective to every irreducible in
+every round.  semantics._definable_preorder applies each connective to
+each irreducible once and must give the same classes on random
+generators and connectives over one or two models, and the oracle,
+close_algebra and is_general_model must answer the same on top of
+either.
 """
 
 import heapq
 import itertools
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -29,9 +39,12 @@ from kripkit import relations as rel
 from kripkit import semantics
 from kripkit.bisim import conditions_for, greatest_bisimulation
 from kripkit.distinguish import _Table
-from kripkit.genframe import SetAlgebra, close_algebra
+from kripkit.errors import FlavorError, ToolError
+from kripkit.formula import Box, Ck, Dia, TBox, TDia
+from kripkit.genframe import SetAlgebra, close_algebra, is_general_model
 from kripkit.model import Model
 from kripkit.sampling import random_model, random_upset
+from kripkit.semantics import _refine
 
 _EMPTY = frozenset()
 
@@ -462,3 +475,200 @@ def test_close_algebra_on_porcupine_5():
     m = build_example("porcupine", (5,))
     generators = [xs for _, xs in sorted(m.valuation.items())]
     assert len(close_algebra(m, generators, ["arrow", "coarrow"])) == 5041
+
+
+# ---------------------------------------------------------------------------
+# The definable preorder, semi-naive against the loop it replaced
+
+
+def reference_definable_preorder(n: int, generators: list[int],
+                                 modal: list, arrows: list) -> dict[int, int]:
+    """The least family of n-bit masks that holds the generators, 0 and
+    the carrier and is closed under & and | and the given _Kernel
+    connectives, as the preorder it is the upsets of (Birkhoff), in
+    _refine's classes: a class's up mask is the least member holding
+    it.  modal pairs each unary connective with whether it preserves &
+    (boxes) rather than | (diamonds).
+
+    Every connective distributes, so it is enough to apply it to the
+    irreducible members.  Boxes go to the meet-irreducibles, the
+    carrier minus the down mask of a class (the states below it);
+    diamonds go to the join-irreducibles, the up masks; an arrow
+    depends on a & ~b only, which over a join- and a meet-irreducible
+    is an up mask and a down mask.  Each round applies every
+    connective to the current irreducibles and cuts the preorder by
+    the results; a round that cuts nothing ends the loop."""
+    full = (1 << n) - 1
+    classes = {full: full}
+    _refine(classes, generators)
+    while True:
+        downs = []
+        for members in classes.values():
+            low = members & -members
+            downs.append(reduce(or_, [below for up, below in classes.items()
+                                      if up & low]))
+        fresh = set()
+        for op, preserves_meets in modal:
+            if preserves_meets:
+                fresh.update([op(full & ~down) for down in downs])
+            else:
+                fresh.update(map(op, classes))
+        if arrows:
+            spans = {up & down for up in classes for down in downs}
+            spans.discard(0)
+            for arrow in arrows:
+                fresh.update(map(arrow, spans))
+        if not _refine(classes, fresh):
+            return classes
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type and text of the ToolError it
+    raised, so that refusals are compared too."""
+    try:
+        return ("ok", fn(*args))
+    except ToolError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+# Every table entry some flavor interprets, as (key, index).
+ENTRIES = ([("imp", None), ("sub", None)]
+           + [(op, i) for op in (Box, Dia, TDia, TBox) for i in (1, 2)]
+           + [(Ck, False), (Ck, True)])
+
+
+def _random_generators(rng, models, kernel) -> list[int]:
+    """Random upsets of each model side by side, and random masks."""
+    n = sum(len(m.states) for m in models)
+    out = []
+    for _ in range(rng.randrange(1, 5)):
+        if rng.random() < 0.7:
+            out.append(sum(
+                semantics._mask(m, random_upset(rng, m.leq, m.states))
+                << shift for m, shift in zip(models, kernel.offsets)))
+        else:
+            out.append(rng.getrandbits(n))
+    return out
+
+
+def assert_same_preorder(rng, models, rounds=6):
+    kernel = semantics._Kernel(models)
+    n = sum(len(m.states) for m in models)
+    interpreted = []
+    for key, index in ENTRIES:
+        try:
+            interpreted.append((key, index, kernel.connective(key, index)))
+        except FlavorError:
+            pass
+    for _ in range(rounds):
+        chosen = [e for e in interpreted if rng.random() < 0.5]
+        rng.shuffle(chosen)
+        modal = [(op, semantics._MODAL[key]) for key, index, op in chosen
+                 if index is not None and key in semantics._MODAL]
+        arrows = [op for key, index, op in chosen if key in ("imp", "sub")]
+        generators = _random_generators(rng, models, kernel)
+        want = reference_definable_preorder(n, generators, modal, arrows)
+        got = semantics._definable_preorder(n, generators, modal, arrows)
+        assert set(got.items()) == set(want.items()), [k for k, *_ in chosen]
+
+
+FLAVOR_ROWS = [
+    ("standard", dict(n_boxes=2, n_diamonds=1)),
+    ("fs", dict()),
+    ("gpt", dict()),
+    ("tense", dict()),
+    ("h", dict()),
+    ("ek", dict(n_boxes=2)),
+]
+
+
+@pytest.mark.parametrize("row", FLAVOR_ROWS,
+                         ids=[row[0] for row in FLAVOR_ROWS])
+def test_semi_naive_preorder_matches_reference_on_random_models(row):
+    flavor, kw = row
+    for i in range(16):
+        rng = random.Random(83_000 + i)
+        m = random_model(rng, flavor, n_states=1 + (5 * i) % 12,
+                         strict=i % 3 != 2, **kw)
+        if i % 2:
+            models = [m]
+        else:
+            models = [m, random_model(rng, flavor, n_states=1 + (7 * i) % 12,
+                                      strict=i % 4 != 1, **kw)]
+        assert_same_preorder(rng, models)
+
+
+PREORDER_GALLERY = [
+    ("wedge", ()), ("wedge_strict", ()), ("spines", (4,)),
+    ("porcupine", (3,)), ("porcupine_trimmed", (3,)), ("omega_chain", (6,)),
+]
+
+
+@pytest.mark.parametrize("example", PREORDER_GALLERY,
+                         ids=[f"{n}{''.join(map(str, p))}"
+                              for n, p in PREORDER_GALLERY])
+def test_semi_naive_preorder_matches_reference_on_the_gallery(example):
+    m = build_example(*example)
+    rng = random.Random(84_000)
+    assert_same_preorder(rng, [m])
+    for other in PREORDER_GALLERY:
+        m2 = build_example(*other)
+        if m2.flavor == m.flavor:
+            assert_same_preorder(rng, [m, m2], rounds=2)
+
+
+def _both_ways(monkeypatch, fn, *args):
+    """fn's outcome with the semi-naive preorder and with the
+    reference loop; they must agree."""
+    got = _outcome(fn, *args)
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics, "_definable_preorder",
+                      reference_definable_preorder)
+        want = _outcome(fn, *args)
+    assert got == want, args[2:]
+    return got
+
+
+@pytest.mark.parametrize("row", NON_STRICT, ids=[row[0] for row in NON_STRICT])
+def test_oracle_is_the_same_on_either_preorder(row, monkeypatch):
+    flavor, kw, boxes, diamonds, tense = row
+    bases = ("int", "intdual", "biint")
+    for i in range(24):
+        rng = random.Random(85_000 + i)
+        frag = Fragment(bases[i % 3], rng.randrange(boxes + 1),
+                        rng.randrange(diamonds + 1), tense and i % 3 == 2)
+        m = random_model(rng, flavor, n_states=2 + i % 9, **kw)
+        m2 = random_model(rng, flavor, n_states=2 + (5 * i) % 9, **kw)
+        _both_ways(monkeypatch, distinguish.bounded_equivalence_oracle,
+                   m, m2, frag)
+    for name, params, name2, params2, frag in LARGER_GALLERY:
+        m, m2 = build_example(name, params), build_example(name2, params2)
+        _both_ways(monkeypatch, distinguish.bounded_equivalence_oracle,
+                   m, m2, frag)
+
+
+@pytest.mark.parametrize("row", ALGEBRA_ROWS,
+                         ids=[row[0] for row in ALGEBRA_ROWS])
+def test_genframe_is_the_same_on_either_preorder(row, monkeypatch):
+    flavor, kw = row
+    frags = [Fragment(base, 1, 0) for base in ("int", "intdual", "biint")]
+    frags += [Fragment("biint", 0, 1), Fragment("biint", 1, 1)]
+    for i in range(8):
+        rng = random.Random(86_000 + i)
+        m = random_model(rng, flavor, n_states=3 + i % 8,
+                         strict=i % 2 == 0, **kw)
+        ops = interpreted_ops(m)
+        generators = [xs for _, xs in sorted(m.valuation.items())]
+        generators.append(random_upset(rng, m.leq, m.states))
+        for _ in range(4):
+            subset = [op for op in ops if rng.random() < 0.5]
+            got = _both_ways(monkeypatch, close_algebra, m, generators,
+                             subset)
+            if got[0] != "ok":
+                continue
+            for frag in frags:
+                _both_ways(monkeypatch, is_general_model, m, got[1], frag)
+                # one set fewer: usually no longer closed
+                smaller = SetAlgebra(list(got[1])[:-2] + [m.state_set])
+                _both_ways(monkeypatch, is_general_model, m, smaller, frag)
+
