@@ -44,14 +44,14 @@ against itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from . import relations as rel
 from . import semantics
 from .errors import FlavorError, InternalCheckError, PreconditionError
 from .formula import Fragment
 from .model import (_SHAPES, EK, FS, GPT, H, STANDARD, TENSE, Model,
-                    Partition, _map_view)
+                    Partition)
 
 _EMPTY = frozenset()
 
@@ -163,35 +163,10 @@ def conditions_for(frag: Fragment, flavor: str) -> ConditionSet:
 # Clause resolution and checking
 
 
-@dataclass(frozen=True)
-class Task:
-    """One resolved clause: a named direction over successor maps, and
-    the connective shape of its witnesses ("imp", "sub", "box", "dia",
-    "tdia" or "tbox") with its modal index (None for imp and sub)."""
-
-    clause: str
-    direction: str  # "zig" or "zag"
-    left: Mapping[str, frozenset]
-    right: Mapping[str, frozenset]
-    shape: str
-    index: int | None
-
-
-def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
-    """Instantiate the clause set against a concrete pair of models,
-    in the fixed clause order."""
-    return [Task(clause, direction,
-                 _map_view(m.states, semantics._succ_masks(m, shape, index)),
-                 _map_view(m2.states, semantics._succ_masks(m2, shape, index)),
-                 shape, index)
-            for clause, direction, shape, index
-            in _resolved(conditions, m, m2)]
-
-
 def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
-    """The clauses of resolved_tasks as (clause, direction, shape,
-    index), which is all the refinement reads: it takes the successor
-    masks of each shape from the table, so no map is decoded here."""
+    """The clauses of a clause set against a concrete pair of models,
+    in the fixed clause order, as (clause, direction, shape, index);
+    a clause reads the successor masks of its shape from the table."""
     if m.flavor != m2.flavor:
         raise PreconditionError(
             f"models have different flavors: {m.flavor!r} vs {m2.flavor!r}")
@@ -404,9 +379,11 @@ def greatest_bisimulation(m: Model, m2: Model,
     return pairs, RefinementTrace(tuple(removals), rounds)
 
 
-def _refine(m: Model, m2: Model, conditions: ConditionSet):
+def _refine(m: Model, m2: Model, conditions: ConditionSet,
+            judge: bool = True):
     """The refinement of greatest_bisimulation, as (kernel, removals,
-    rounds); the kernel's rows and cols hold the fixpoint.
+    rounds); the kernel's rows and cols hold the fixpoint.  With judge
+    false no removed pair is judged and removals stays empty.
 
     Each class of a round has a bit, and a state signs its successors'
     classes, relation by relation, as the OR of their bits; the
@@ -449,7 +426,7 @@ def _refine(m: Model, m2: Model, conditions: ConditionSet):
             live.append(i)
             rows[i] = right[s]
             gone = everyone2 ^ rows[i]
-        while gone:
+        while judge and gone:
             low = gone & -gone
             gone ^= low
             j = low.bit_length() - 1
@@ -491,23 +468,24 @@ def _refine(m: Model, m2: Model, conditions: ConditionSet):
                     slot = slots[key] = [0, 0]
                 slot[side] |= 1 << x
                 out.append(slot)
-        before = len(removals)
-        for x, slot in zip(live, mine):
-            gone = rows[x] ^ slot[1]
-            while gone:
-                low = gone & -gone
-                gone ^= low
-                j = low.bit_length() - 1
-                failure = first_failure(x, j)
-                if failure is None:
-                    raise InternalCheckError(
-                        f"pair ({states[x]}, {states2[j]}) left the "
-                        f"refinement in round {stage} but fails no clause")
-                _, clause, side, transition = failure
-                removals.append(Removal((states[x], states2[j]), stage,
-                                        clause, side, transition))
-        if len(removals) == before:
-            break
+        if all(rows[x] == slot[1] for x, slot in zip(live, mine)):
+            break  # the round removes no pair
+        if judge:
+            for x, slot in zip(live, mine):
+                gone = rows[x] ^ slot[1]
+                while gone:
+                    low = gone & -gone
+                    gone ^= low
+                    j = low.bit_length() - 1
+                    failure = first_failure(x, j)
+                    if failure is None:
+                        raise InternalCheckError(
+                            f"pair ({states[x]}, {states2[j]}) left the "
+                            f"refinement in round {stage} but fails no "
+                            "clause")
+                    _, clause, side, transition = failure
+                    removals.append(Removal((states[x], states2[j]), stage,
+                                            clause, side, transition))
         rounds = stage
         b = 4
         for slot in slots.values():
@@ -534,17 +512,19 @@ def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
     least member: the classes of the model's refinement against
     itself.  The fixpoint must come out an equivalence, which is
     checked on its rows; anything else is an internal bug."""
-    kernel, _, _ = _refine(m, m, conditions)
+    kernel, _, _ = _refine(m, m, conditions, judge=False)
     rows = kernel.rows
     for i, row in enumerate(rows):
         if not row >> i & 1:
             raise InternalCheckError(
                 f"bisimilarity is not reflexive at {m.states[i]}")
-    if rows != rel._transpose(rows):
-        raise InternalCheckError("bisimilarity is not symmetric")
-    if any(two & ~row for two, row in zip(rel._compose_rows(rows, rows),
-                                          rows)):
-        raise InternalCheckError("bisimilarity is not transitive")
+    # a reflexive relation is also symmetric and transitive when each
+    # row is the row of every state it holds: one pass over the classes
+    for row in set(rows):
+        for j in rel._bits(row):
+            if rows[j] != row:
+                raise InternalCheckError(
+                    f"bisimilarity is not an equivalence at {m.states[j]}")
     return Partition.from_blocks(rel._names(m.states, row)
                                  for row in set(rows))
 

@@ -24,7 +24,7 @@ from . import bisim as bisim_mod
 from . import distinguish, genframe, sampling, semantics
 from .errors import ToolError
 from .formula import Fragment, parse, translate
-from .model import (FLAVORS, Model, _dumps, _rebuilt, build_example, dualize,
+from .model import (FLAVORS, Model, _dumps, build_example, dualize,
                     load_model, model_to_dict, quotient, read_json, strictify)
 
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
@@ -54,7 +54,8 @@ def _load(path: str, args) -> Model:
     flavor = getattr(args, "flavor", None)
     if flavor is None or flavor == m.flavor:
         return m
-    return _rebuilt(m, m.valuation, flavor)
+    return Model._from_rows(m.states, m._index, m._leq_rows, m._box_rows,
+                            m._dia_rows, m.valuation, flavor)
 
 
 def _add_fragment_flags(sub) -> None:

@@ -16,6 +16,10 @@ coherence discipline the relations follow:
 Composition reads left to right: x (Z∘Z') y means x Z u and u Z' y for
 some u.  Models are immutable after construction and all operations
 here are pure, so instances are safe to share.
+
+Only the constructor reads relations as pairs: the JSON loader, the
+surgery below, a change of flavor and sampling build their models on
+bit rows, through Model._from_rows.
 """
 
 from __future__ import annotations
@@ -125,15 +129,30 @@ class Model:
                         for j, s in enumerate(diamonds, 1)],
                        valuation, flavor)
 
+    @classmethod
+    def _from_rows(cls, states: tuple[str, ...], index: dict[str, int],
+                   leq_rows: list[int], box_rows: Sequence[list[int]],
+                   dia_rows: Sequence[list[int]],
+                   valuation: Mapping[str, Iterable[str]] | None,
+                   flavor: str) -> "Model":
+        """A model on rows over the sorted states that index numbers,
+        shared as they are (models never change their rows); states,
+        flavor and valuation are checked as the constructor checks them."""
+        _check_states(states)
+        m = cls.__new__(cls)
+        m._set_rows(states, index, leq_rows, box_rows, dia_rows, valuation,
+                    flavor)
+        return m
+
     def _set_rows(self, states: tuple[str, ...], index: dict[str, int],
-                  leq_rows: list[int], box_rows: list[list[int]],
-                  dia_rows: list[list[int]],
+                  leq_rows: list[int], box_rows: Sequence[list[int]],
+                  dia_rows: Sequence[list[int]],
                   valuation: Mapping[str, Iterable[str]] | None,
                   flavor: str) -> None:
         """The rest of construction, from rows over the sorted states
         that index numbers: the flavor's relation counts, the valuation
-        and the empty caches.  The constructor and model_from_dict both
-        end here, each having built its rows its own way."""
+        and the empty caches.  The constructor and _from_rows both end
+        here."""
         self.states = states
         self._index = index
         self._leq_rows = leq_rows
@@ -324,21 +343,17 @@ class Partition:
 
 
 def _inclusion_witness(m: Model, parts: Sequence[list[int]],
-                       target: Iterable[tuple[str, str]]):
+                       allowed: list[int]):
     """First composition path, in sorted order, through the relations
-    whose rows are `parts` whose endpoints are not in `target`, or
-    None.  The path includes every intermediate state, so a
-    two-relation condition yields (x, u, y).
+    whose rows are `parts` whose endpoints are not in the relation
+    whose rows are `allowed`, or None.  The path includes every
+    intermediate state, so a two-relation condition yields (x, u, y).
 
     The inclusion is tested on rows, in memory quadratic in the
     states.  Only a failure is searched for its path: from the least
-    state x whose composite row leaves target, each step takes the
+    state x whose composite row leaves allowed, each step takes the
     least successor from which the rest of the path still reaches a
-    state y with (x, y) outside target."""
-    index = m._index
-    allowed = [0] * len(index)
-    for a, b in target:
-        allowed[index[a]] |= 1 << index[b]
+    state y with (x, y) outside allowed."""
     # reach[j] holds the rows of parts[j] ∘ ... ∘ parts[-1]
     reach = [parts[-1]]
     for part in reversed(parts[:-1]):
@@ -358,10 +373,14 @@ def _inclusion_witness(m: Model, parts: Sequence[list[int]],
 def _coherence_violations(m: Model) -> list[Violation]:
     leq, geq = m.leq, m.geq
     up, down = m._leq_rows, rel._transpose(m._leq_rows)
+    index = m._index
     out: list[Violation] = []
 
     def need(axiom, parts, target):
-        w = _inclusion_witness(m, parts, target)
+        allowed = [0] * len(index)
+        for a, b in target:
+            allowed[index[a]] |= 1 << index[b]
+        w = _inclusion_witness(m, parts, allowed)
         if w is not None:
             out.append(Violation(axiom, w))
 
@@ -407,23 +426,26 @@ def _is_strictly_condensed(m: Model) -> bool:
 
 
 def _validate(m: Model) -> ValidationReport:
-    violations: list[Violation] = []
-    for s in m.states:
-        if (s, s) not in m.leq:
-            violations.append(Violation("reflexivity", (s,)))
-    w = _inclusion_witness(m, [m._leq_rows, m._leq_rows], m.leq)
+    """validate's report.  The order's own axioms and the upsets are
+    read off its rows, whose lowest bits are the least states."""
+    states, index, leq = m.states, m._index, m._leq_rows
+    violations = [Violation("reflexivity", (x,))
+                  for i, (x, row) in enumerate(zip(states, leq))
+                  if not row >> i & 1]
+    w = _inclusion_witness(m, [leq, leq], leq)
     if w is not None:
         violations.append(Violation("transitivity", w))
     for atom, xs in m.valuation.items():
-        done = False
-        for a in sorted(xs):
-            if done:
+        mask = 0
+        for x in xs:
+            mask |= 1 << index[x]
+        for i in rel._bits(mask):
+            out = leq[i] & ~mask
+            if out:
+                j = (out & -out).bit_length() - 1
+                violations.append(
+                    Violation("valuation-upset", (atom, states[i], states[j])))
                 break
-            for b in sorted(m.up_map.get(a, ())):
-                if b not in xs:
-                    violations.append(Violation("valuation-upset", (atom, a, b)))
-                    done = True
-                    break
     violations.extend(_coherence_violations(m))
     return ValidationReport(tuple(violations), _is_strictly_condensed(m))
 
@@ -455,14 +477,11 @@ def dualize(m: Model) -> Model:
     dual discipline and are rejected.
     """
     require_valid(m, "dualize")
+    if m.flavor not in (STANDARD, TENSE):
+        raise FlavorError(f"flavor {m.flavor!r} has no dual")
     co_val = {atom: m.state_set - xs for atom, xs in m.valuation.items()}
-    if m.flavor == STANDARD:
-        return Model(m.states, m.geq, boxes=m.diamonds, diamonds=m.boxes,
-                     valuation=co_val, flavor=STANDARD)
-    if m.flavor == TENSE:
-        return Model(m.states, m.geq, boxes=[m.diamonds[0]],
-                     diamonds=[m.boxes[0]], valuation=co_val, flavor=TENSE)
-    raise FlavorError(f"flavor {m.flavor!r} has no dual")
+    return Model._from_rows(m.states, m._index, rel._transpose(m._leq_rows),
+                            m._dia_rows, m._box_rows, co_val, m.flavor)
 
 
 def strictify(m: Model) -> Model:
@@ -474,17 +493,17 @@ def strictify(m: Model) -> Model:
     box already quantifies through ≤.
     """
     require_valid(m, "strictify")
-    leq, geq = m.leq, m.geq
+    up = m._leq_rows
+    down = rel._transpose(up)
     if m.flavor in (STANDARD, TENSE):
-        boxes = [rel.compose(r, leq) for r in m.boxes]
-        diamonds = [rel.compose(s, geq) for s in m.diamonds]
+        boxes = [rel._compose_rows(r, up) for r in m._box_rows]
     elif m.flavor == GPT:
-        boxes = [rel.compose(leq, m.boxes[0])]
-        diamonds = [rel.compose(m.diamonds[0], geq)]
+        boxes = [rel._compose_rows(up, m._box_rows[0])]
     else:
         raise FlavorError(f"flavor {m.flavor!r} has no strictification recipe")
-    return Model(m.states, m.leq, boxes=boxes, diamonds=diamonds,
-                 valuation=m.valuation, flavor=m.flavor)
+    diamonds = [rel._compose_rows(s, down) for s in m._dia_rows]
+    return Model._from_rows(m.states, m._index, up, boxes, diamonds,
+                            m.valuation, m.flavor)
 
 
 def quotient(m: Model, p: Partition, conditions=None):
@@ -502,19 +521,23 @@ def quotient(m: Model, p: Partition, conditions=None):
         raise PreconditionError(
             "partition does not cover exactly the model's states")
     blk = p.block_of
+    names = tuple(sorted(set(blk.values())))
+    index = {x: i for i, x in enumerate(names)}
+    target = [index[blk[x]] for x in m.states]
+    # each row lifts into its block's row as its targets' block bits
+    block_bits = [1 << t for t in target]
 
-    def lift(pairs):
-        return frozenset((blk[a], blk[b]) for a, b in pairs)
+    def lift(rows):
+        out = [0] * len(names)
+        for t, row in zip(target, rel._compose_rows(rows, block_bits)):
+            out[t] |= row
+        return out
 
-    lifted = Model(
-        sorted(set(blk.values())),
-        lift(m.leq),
-        boxes=[lift(r) for r in m.boxes],
-        diamonds=[lift(s) for s in m.diamonds],
-        valuation={atom: {blk[x] for x in xs}
-                   for atom, xs in m.valuation.items()},
-        flavor=m.flavor,
-    )
+    lifted = Model._from_rows(
+        names, index, lift(m._leq_rows),
+        [lift(r) for r in m._box_rows], [lift(s) for s in m._dia_rows],
+        {atom: {blk[x] for x in xs} for atom, xs in m.valuation.items()},
+        m.flavor)
     if conditions is not None:
         from .bisim import is_bisimulation
         graph = frozenset((x, blk[x]) for x in m.states)
@@ -535,20 +558,8 @@ def enrich_valuation(m: Model, defs: Sequence[tuple[str, object]]) -> Model:
         if atom in val:
             raise ModelFormatError(f"atom {atom!r} already has a valuation")
         val[atom] = truth_set(formula, m)
-    return _rebuilt(m, val, m.flavor)
-
-
-def _rebuilt(m: Model, valuation: Mapping[str, Iterable[str]],
-             flavor: str) -> Model:
-    """m's states, order and stored relations under another valuation
-    and flavor, on m's own rows (models never change their rows, so
-    the two share them).  The flavor's relation counts and the
-    valuation are checked by the step that ends every construction,
-    so the errors are the ones the constructor raises on m's pairs."""
-    out = Model.__new__(Model)
-    out._set_rows(m.states, m._index, m._leq_rows, m._box_rows, m._dia_rows,
-                  valuation, flavor)
-    return out
+    return Model._from_rows(m.states, m._index, m._leq_rows, m._box_rows,
+                            m._dia_rows, val, m.flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -731,11 +742,9 @@ def model_from_dict(data) -> Model:
     _check_states(states)
     if faults:
         raise ModelFormatError(faults[0])
-    m = Model.__new__(Model)
-    m._set_rows(names, index, leq, rels["boxes"], rels["diamonds"],
-                valuation, flavor)
-    _close_order(m._leq_rows)
-    return m
+    _close_order(leq)
+    return Model._from_rows(names, index, leq, rels["boxes"],
+                            rels["diamonds"], valuation, flavor)
 
 
 def model_to_dict(m: Model) -> dict:

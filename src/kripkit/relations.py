@@ -12,12 +12,15 @@ targets, so a path of length two costs one | on a word instead of one
 set insertion.  A Model keeps its order and stored relations this way
 (numbered in sorted state order), and semantics derives every
 effective relation from those rows with _compose_rows, _transpose and
-_close_rows.  compose and transitive_closure number the states as they
-meet them and run on the same kind of rows.  Frozensets of pairs
-appear only at the boundary, when a result is returned: _row_pairs
-walks each row's set bits, one step per pair, and _names reads a mask
-into state names, bit by bit when it is sparse and off its binary
-digits otherwise.
+_close_rows; model surgery and sampling build their models on the
+same three.  The frozenset functions are public API, and inside the
+package only validate's coherence and condensation tests still call
+compose and compose_all.  compose and transitive_closure number the
+states as they meet them and run on the same kind of rows.
+Frozensets of pairs appear only at the boundary, when a result is
+returned: _row_pairs walks each row's set bits, one step per pair,
+and _names reads a mask into state names, bit by bit when it is
+sparse and off its binary digits otherwise.
 
 Each of the three row primitives picks its method from what its input
 shows, whether the square rows hold at least a quarter of all pairs
@@ -46,20 +49,8 @@ Pair = tuple[str, str]
 Relation = frozenset[Pair]
 
 
-def identity(states: Iterable[str]) -> Relation:
-    return frozenset((s, s) for s in states)
-
-
 def converse(r: Iterable[Pair]) -> Relation:
     return frozenset((b, a) for a, b in r)
-
-
-def successors(r: Iterable[Pair]) -> dict[str, set[str]]:
-    """Successor map of a relation: state -> set of targets."""
-    succ: dict[str, set[str]] = {}
-    for a, b in r:
-        succ.setdefault(a, set()).add(b)
-    return succ
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -231,26 +222,6 @@ def transitive_closure(rels: Iterable[Iterable[Pair]],
     return frozenset((*closed, *((s, s) for s in states)))
 
 
-def preorder_closure(pairs: Iterable[Pair], states: Iterable[str]) -> Relation:
-    """Reflexive-transitive closure over the given carrier."""
-    return transitive_closure([pairs], reflexive=True, states=states)
-
-
-def missing_transitivity(r: frozenset[Pair]) -> Pair | None:
-    """First (in sorted order) composable pair whose composite is missing,
-    or None when r is transitive."""
-    succ = successors(r)
-    for a, u in sorted(r):
-        for b in sorted(succ.get(u, ())):
-            if (a, b) not in r:
-                return (a, b)
-    return None
-
-
 def upward_closure(leq: Iterable[Pair], xs: Iterable[str]) -> frozenset[str]:
     base = set(xs)
     return frozenset(base | {b for a, b in leq if a in base})
-
-
-def is_upset(leq: Iterable[Pair], xs: frozenset[str]) -> bool:
-    return all(b in xs for a, b in leq if a in xs)

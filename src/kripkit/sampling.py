@@ -7,6 +7,10 @@ coherence conditions demand.  Composing on both sides gives strictly
 condensed models; fs additionally needs the equivalence closure of the
 order on the left, and h models are strictly condensed by definition.
 
+Models are drawn into bit rows and composed on them; random_relation
+and random_preorder decode the same draws into pairs.  Draws take the
+states in list order, whatever order the rows number them in.
+
 The formula generator respects a fragment: it only emits connectives
 the fragment admits, and its depth argument bounds the nesting depth
 of the result.
@@ -15,6 +19,7 @@ of the result.
 from __future__ import annotations
 
 import random
+from functools import reduce
 from typing import Sequence
 
 from . import relations as rel
@@ -22,26 +27,63 @@ from . import semantics
 from .errors import FlavorError
 from .formula import (And, Atom, Bot, Ck, Formula, Fragment, Imp, Or, Sub,
                       TBox, TDia, Top)
-from .model import EK, FS, GPT, H, STANDARD, TENSE, Model
+from .model import EK, FS, GPT, H, STANDARD, TENSE, Model, _close_order
+
+
+def _draw_row(rng: random.Random, bits: Sequence[int], density: float,
+              skip: int = -1) -> int:
+    """The OR of the bits whose draw, one per position but skip, in
+    order, falls below density."""
+    row = 0
+    for k, bit in enumerate(bits):
+        if k != skip and rng.random() < density:
+            row |= bit
+    return row
+
+
+def _draw(rng: random.Random, bits: Sequence[int], density: float,
+          loops: bool = True) -> list[int]:
+    """Rows of a random relation over the states whose bits, in list
+    order, are bits: a draw per pair, a-major, but for (a, a) unless
+    loops.  Each state's row sits at its bit's number."""
+    rows = [0] * len(bits)
+    for a, bit in enumerate(bits):
+        rows[bit.bit_length() - 1] = _draw_row(rng, bits, density,
+                                               -1 if loops else a)
+    return rows
+
+
+def _units(n: int) -> list[int]:
+    return [1 << k for k in range(n)]
 
 
 def random_relation(rng: random.Random, states: Sequence[str],
                     density: float = 0.25) -> frozenset:
-    return frozenset((a, b) for a in states for b in states
-                     if rng.random() < density)
+    rows = _draw(rng, _units(len(states)), density)
+    return frozenset(rel._row_pairs(zip(states, rows), states))
 
 
 def random_preorder(rng: random.Random, states: Sequence[str],
                     density: float = 0.2) -> frozenset:
-    seed = [(a, b) for a in states for b in states
-            if a != b and rng.random() < density]
-    return rel.preorder_closure(seed, states)
+    rows = _draw(rng, _units(len(states)), density, loops=False)
+    _close_order(rows)
+    return frozenset(rel._row_pairs(zip(states, rows), states))
 
 
 def random_upset(rng: random.Random, leq: frozenset,
                  states: Sequence[str], density: float = 0.35) -> frozenset:
-    seed = {s for s in states if rng.random() < density}
-    return rel.upward_closure(leq, seed)
+    seed = _draw_row(rng, _units(len(states)), density)
+    return rel.upward_closure(leq, rel._names(states, seed))
+
+
+def _numbering(n_states: int):
+    """The states s0, s1, ... sorted, their numbering, and their bits
+    in list order, the order every draw takes them in (from s10 on,
+    not the sorted one)."""
+    states = [f"s{i}" for i in range(n_states)]
+    names = tuple(sorted(states))
+    index = {x: i for i, x in enumerate(names)}
+    return names, index, [1 << index[x] for x in states]
 
 
 def random_model(rng: random.Random, flavor: str = STANDARD,
@@ -50,60 +92,54 @@ def random_model(rng: random.Random, flavor: str = STANDARD,
                  strict: bool = False) -> Model:
     """A valid random model of the given flavor.  With strict=True the
     result is strictly condensed (fs and h always are)."""
-    states = [f"s{i}" for i in range(n_states)]
-    leq = random_preorder(rng, states)
-    geq = rel.converse(leq)
+    names, index, bits = _numbering(n_states)
+    leq = _draw(rng, bits, 0.2, loops=False)
+    _close_order(leq)
+    geq = rel._transpose(leq)
 
     def raw():
-        return random_relation(rng, states)
+        return _draw(rng, bits, 0.25)
 
-    def absorb_box(r0):
-        if strict:
-            return rel.compose_all(leq, r0, leq)
-        return rel.compose(leq, r0)
+    def chain(*parts):  # parts composed left to right
+        return reduce(rel._compose_rows, parts)
 
-    def absorb_dia(s0):
-        if strict:
-            return rel.compose_all(geq, s0, geq)
-        return rel.compose(geq, s0)
+    def absorb(r0, order):
+        return chain(order, r0, order) if strict else chain(order, r0)
 
     if flavor == STANDARD:
-        boxes = [absorb_box(raw()) for _ in range(n_boxes)]
-        diamonds = [absorb_dia(raw()) for _ in range(n_diamonds)]
+        boxes = [absorb(raw(), leq) for _ in range(n_boxes)]
+        diamonds = [absorb(raw(), geq) for _ in range(n_diamonds)]
     elif flavor == EK:
-        boxes = [rel.compose_all(leq, raw(), leq) if strict
-                 else rel.compose(leq, raw())
-                 for _ in range(max(1, n_boxes))]
+        boxes = [absorb(raw(), leq) for _ in range(max(1, n_boxes))]
         diamonds = []
     elif flavor == FS:
         # the equivalence closure of the order keeps both coherence
         # directions while leaving the result strictly condensed
-        equiv = rel.transitive_closure([leq, geq], reflexive=True,
-                                       states=states)
-        boxes = [rel.compose_all(equiv, raw(), leq)]
+        equiv = [up | down for up, down in zip(leq, geq)]
+        rel._close_rows(equiv)
+        boxes = [chain(equiv, raw(), leq)]
         diamonds = []
     elif flavor == GPT:
-        boxes = [rel.compose_all(leq, raw(), leq) if strict
-                 else rel.compose(raw(), leq)]
-        diamonds = [rel.compose_all(geq, raw(), geq) if strict
-                    else rel.compose(geq, raw())]
+        boxes = [chain(leq, raw(), leq) if strict else chain(raw(), leq)]
+        diamonds = [absorb(raw(), geq)]
     elif flavor == TENSE:
-        ident = rel.identity(states)
-        if strict:
-            boxes = [rel.compose_all(leq, raw(), leq)]
-            diamonds = [rel.compose_all(geq, raw(), geq)]
-        else:
-            boxes = [ident | rel.compose_all(leq, raw(), leq)]
-            diamonds = [ident | rel.compose_all(geq, raw(), geq)]
+        boxes = [chain(leq, raw(), leq)]
+        diamonds = [chain(geq, raw(), geq)]
+        if not strict:
+            for rows in boxes + diamonds:
+                for i in range(n_states):
+                    rows[i] |= 1 << i
     elif flavor == H:
-        boxes = [rel.compose_all(leq, raw(), leq)]
+        boxes = [chain(leq, raw(), leq)]
         diamonds = []
     else:
         raise FlavorError(f"no random recipe for flavor {flavor!r}")
 
-    valuation = {a: random_upset(rng, leq, states) for a in atoms}
-    return Model(states, leq, boxes=boxes, diamonds=diamonds,
-                 valuation=valuation, flavor=flavor)
+    valuation = {a: rel._names(names, rel._image(_draw_row(rng, bits, 0.35),
+                                                 leq))
+                 for a in atoms}
+    return Model._from_rows(names, index, leq, boxes, diamonds, valuation,
+                            flavor)
 
 
 def random_classical_model(rng: random.Random, n_states: int = 5,
@@ -111,13 +147,12 @@ def random_classical_model(rng: random.Random, n_states: int = 5,
                            atoms: Sequence[str] = ("p", "q")) -> Model:
     """A standard model with the identity order: plain Kripke frames,
     where any valuation is an upset and any relation is coherent."""
-    states = [f"s{i}" for i in range(n_states)]
-    valuation = {a: frozenset(s for s in states if rng.random() < 0.5)
+    names, index, bits = _numbering(n_states)
+    valuation = {a: rel._names(names, _draw_row(rng, bits, 0.5))
                  for a in atoms}
-    return Model(states, rel.identity(states),
-                 boxes=[random_relation(rng, states, 0.3)
-                        for _ in range(n_boxes)],
-                 valuation=valuation)
+    boxes = [_draw(rng, bits, 0.3) for _ in range(n_boxes)]
+    return Model._from_rows(names, index, _units(n_states), boxes, [],
+                            valuation, STANDARD)
 
 
 def random_formula(rng: random.Random, frag: Fragment, depth: int,

@@ -39,12 +39,10 @@ the union of the rows.  relations picks the method of each from the
 density of the rows.  truth_set, semantic_operator, the refinement,
 the oracle, genframe and the trace replay of witness synthesis all
 read these masks.  Frozensets appear only where the public API returns
-them: the relation readers below and bisim.resolved_tasks decode an
-entry once per call, at one step per pair, and truth_set decodes one
-mask per node it evaluates, but for the empty and the full mask, which
-stand for the shared empty set and the model's state_set.  Nothing in
-the package calls resolved_tasks; it is kept for callers who want the
-clauses as maps.
+them: the relation readers below decode an entry once per call, at
+one step per pair, and truth_set decodes one mask per node it
+evaluates, but for the empty and the full mask, which stand for the
+shared empty set and the model's state_set.
 
 _Kernel lays several models' masks side by side, and
 _definable_preorder computes the least family of masks closed under

@@ -2,18 +2,19 @@
 
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import kripkit as kk
-from kripkit import Fragment, Model, build_example
+from kripkit import Fragment, Model, Partition, bisim, build_example
 from kripkit.bisim import (ConditionSet, bisimilarity_partition,
                            conditions_for, directed_conversion,
-                           greatest_bisimulation, is_bisimulation,
-                           resolved_tasks)
-from kripkit.errors import FlavorError, PreconditionError
+                           greatest_bisimulation, is_bisimulation)
+from kripkit.errors import FlavorError, InternalCheckError, PreconditionError
 from kripkit.sampling import random_model
+from test_refinement_reference import resolved_tasks
 
 WEDGE = build_example("wedge")
 WEDGE_STRICT = build_example("wedge_strict")
@@ -204,6 +205,55 @@ def test_greatest_bisimulation_is_sound_and_staged(seed, row):
     assert stages == sorted(stages)
     assert all(r.stage <= trace.rounds for r in trace.removals)
     assert len(fix) + len(trace.removals) == len(m.states) * len(m2.states)
+
+
+def _self_blocks(m: Model, conds) -> Partition:
+    """The classes of the greatest bisimulation of m with itself."""
+    fix, _ = greatest_bisimulation(m, m, conds)
+    return Partition.from_blocks(
+        {frozenset(y for x2, y in fix if x2 == x) for x in m.states})
+
+
+def test_bisimilarity_partition_is_the_blocks_of_the_self_refinement():
+    # the partition skips judging the pairs each round removes; its
+    # rounds must still end at the fixpoint the judged refinement
+    # reaches
+    merged = 0
+    for seed in range(120):
+        flavor, frag, kw = ROWS[seed % len(ROWS)]
+        rng = random.Random(seed)
+        m = random_model(rng, flavor, n_states=rng.randint(1, 30),
+                         strict=True, atoms=("p",)[:seed % 2], **kw)
+        for f in (frag, Fragment(frag.base), Fragment("biint", 0, 0)):
+            if flavor == "h" and f.base != "biint":
+                continue
+            conds = conditions_for(f, flavor)
+            part = bisimilarity_partition(m, conds)
+            assert part == _self_blocks(m, conds), (seed, f)
+            merged += len(part.blocks()) < len(m.states)
+    assert merged > 50, merged
+    for name, params in (("spines", (9,)), ("porcupine", (3,)),
+                         ("porcupine_trimmed", (3,)), ("omega_chain", (4,))):
+        m = build_example(name, params)
+        for f in (Fragment("int", 1), Fragment("biint")):
+            if not m.boxes and f.n_boxes:
+                continue
+            conds = conditions_for(f, m.flavor)
+            assert bisimilarity_partition(m, conds) == _self_blocks(m, conds)
+
+
+def test_bisimilarity_partition_rejects_a_fixpoint_that_is_no_equivalence(
+        monkeypatch):
+    m = build_example("spines", (2,))  # r, s1_1, s2_1, s2_2
+    for rows, message in (
+            ([0b0001, 0b0010, 0b0100, 0b0000], "not reflexive at s2_2"),
+            ([0b0011, 0b0010, 0b0100, 0b1000], "not an equivalence at s1_1"),
+            ([0b0011, 0b0111, 0b0110, 0b1000], "not an equivalence at ")):
+        monkeypatch.setattr(bisim, "_refine", lambda *_, **__: (
+            SimpleNamespace(rows=list(rows)), [], 0))
+        with pytest.raises(InternalCheckError, match=f"^bisimilarity is "
+                                                     f"{message}"):
+            bisimilarity_partition(m, INT_BOX)
 
 
 @settings(max_examples=25, deadline=None)

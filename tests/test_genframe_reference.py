@@ -32,8 +32,8 @@ from typing import Iterable, Sequence
 
 import pytest
 
+import test_relations_reference as ref
 from kripkit import build_example, semantics
-from kripkit import relations as rel
 from kripkit.errors import ModelFormatError, PreconditionError, ToolError
 from kripkit.formula import Box, Fragment
 from kripkit.genframe import (SetAlgebra, _canon_key, close_algebra,
@@ -221,7 +221,7 @@ def reference_is_general_model(m: Model, algebra: SetAlgebra,
     if frozenset() not in algebra or m.state_set not in algebra:
         return False
     for a in algebra:
-        if not rel.is_upset(m.leq, a):
+        if not ref.is_upset(m.leq, a):
             return False
     for xs in m.valuation.values():
         if xs not in algebra:
@@ -296,7 +296,7 @@ def families(m: Model, generators, ops, rng: random.Random):
     out = [closed, tuple(a for a in closed if a != dropped)]
     crooked = [a for r in range(1, len(m.states))
                for a in map(frozenset, itertools.combinations(m.states, r))
-               if not rel.is_upset(m.leq, a)]
+               if not ref.is_upset(m.leq, a)]
     if crooked:
         out.append(closed + (rng.choice(crooked),))
     extra = [u for u in (random_upset(rng, m.leq, m.states)

@@ -212,6 +212,14 @@ def test_quotient_partition_must_cover():
         quotient(m, Partition.from_blocks([["a"]]))
 
 
+def test_quotient_rejects_block_names_that_are_not_strings():
+    w = build_example("wedge")
+    for block_of in ({"x": 1, "y": 1, "z": 2}, {"x": "", "y": "", "z": "z"}):
+        with pytest.raises(ModelFormatError,
+                           match="^state names must be nonempty strings$"):
+            quotient(w, Partition(block_of))
+
+
 def test_enrich_valuation():
     w = build_example("wedge")
     w2 = enrich_valuation(w, [("s", kk.parse("p -> q"))])

@@ -16,9 +16,15 @@ grows as n^4 on a dense h model.  The check on bit rows must report
 the same violations, each with the same path.
 
 old_transitivity_violation keeps validate's previous transitivity
-check verbatim: relations.missing_transitivity on the frozenset of
-pairs, then a search for the middle state.  It was cubic in the states
-on a dense order.  The check on rows must report the same triple.
+check verbatim: relations.missing_transitivity (now copied into
+test_relations_reference) on the frozenset of pairs, then a search for
+the middle state.  It was cubic in the states on a dense order.  The
+check on rows must report the same triple.
+
+old_reflexivity_and_upset_violations keeps validate's previous
+reflexivity and valuation-upset checks verbatim: membership in the
+frozenset leq and a walk of the sorted up_map.  validate now reads
+both off the order's rows and must report the same violations.
 
 old_pairs and old_model_from_dict keep the previous JSON loader
 verbatim but for their names: it checked the shape of every relation
@@ -30,10 +36,11 @@ one or two faults both must raise the same error with the same text,
 which pins the order in which the checks run.
 
 old_rebuilt keeps verbatim the rebuild that cli._load (under --flavor)
-and enrich_valuation made before they built on the model's rows: the
-constructor on the pairs decoded from every row.  For every source and
-target flavor both must build the same states, rows, valuation and
-flavor, or raise the same error with the same text.
+and enrich_valuation made before they built on the model's rows
+through Model._from_rows: the constructor on the pairs decoded from
+every row.  For every source and target flavor both must build the
+same states, rows, valuation and flavor, or raise the same error with
+the same text.
 """
 
 import random
@@ -43,13 +50,14 @@ from typing import Sequence
 
 import pytest
 
+import test_relations_reference as ref
 from kripkit import build_example, semantics
 from kripkit import relations as rel
 from kripkit.errors import ModelFormatError
 from kripkit.formula import parse
 from kripkit.model import (_ATOM_NAME, _MODEL_KEYS, _SHAPES, EK, FLAVORS,
                            FS, GPT, H, STANDARD, TENSE, Model, Violation,
-                           _coherence_violations, _rebuilt, enrich_valuation,
+                           _coherence_violations, enrich_valuation,
                            model_from_dict, model_to_dict)
 from kripkit.sampling import random_model
 
@@ -270,7 +278,7 @@ def _inclusion_witness(parts: Sequence[frozenset], target: frozenset):
     so a two-relation condition yields (x, u, y)."""
     paths: list[tuple[str, ...]] = [pair for pair in sorted(parts[0])]
     for part in parts[1:]:
-        succ = rel.successors(part)
+        succ = ref.successors(part)
         paths = [path + (c,)
                  for path in paths
                  for c in sorted(succ.get(path[-1], ()))]
@@ -363,7 +371,7 @@ def test_validate_memory_stays_quadratic_on_a_dense_h_model():
 
 
 def old_transitivity_violation(m: Model) -> list[Violation]:
-    w = rel.missing_transitivity(m.leq)
+    w = ref.missing_transitivity(m.leq)
     if w is None:
         return []
     # recover the middle state for the report
@@ -401,6 +409,44 @@ def test_transitivity_violation_matches_reference_on_constructor_input():
             assert _transitivity_violation(m) == want, seed
             found += len(want)
     assert found == 375
+
+
+def old_reflexivity_and_upset_violations(m: Model) -> list[Violation]:
+    violations: list[Violation] = []
+    for s in m.states:
+        if (s, s) not in m.leq:
+            violations.append(Violation("reflexivity", (s,)))
+    for atom, xs in m.valuation.items():
+        done = False
+        for a in sorted(xs):
+            if done:
+                break
+            for b in sorted(m.up_map.get(a, ())):
+                if b not in xs:
+                    violations.append(Violation("valuation-upset", (atom, a, b)))
+                    done = True
+                    break
+    return violations
+
+
+def test_reflexivity_and_upset_violations_match_reference():
+    # validate reads both off the order's rows; unclosed random orders
+    # over up to 14 states (s10 on sort between s1 and s2), with random
+    # valuations of every density
+    found = set()
+    for seed in range(1500):
+        rng = random.Random(f"upsets/{seed}")
+        states = [f"s{i}" for i in range(rng.randint(1, 14))]
+        density = rng.random()
+        valuation = {atom: [x for x in states if rng.random() < density]
+                     for atom in ("p", "q", "r")[:rng.randint(0, 3)]}
+        m = Model(states, [(a, b) for a in states for b in states
+                           if rng.random() < density], valuation=valuation)
+        want = old_reflexivity_and_upset_violations(m)
+        assert [v for v in m.validate().violations
+                if v.axiom in ("reflexivity", "valuation-upset")] == want, seed
+        found.update(v.axiom for v in want)
+    assert found == {"reflexivity", "valuation-upset"}
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +694,9 @@ def old_rebuilt(m: Model, valuation, flavor: str) -> Model:
 
 
 def _compare_rebuilds(m: Model, valuation, flavor) -> object:
-    new = loaded(lambda _: _rebuilt(m, valuation, flavor), None)
+    new = loaded(lambda _: Model._from_rows(
+        m.states, m._index, m._leq_rows, m._box_rows, m._dia_rows, valuation,
+        flavor), None)
     old = loaded(lambda _: old_rebuilt(m, valuation, flavor), None)
     if isinstance(old, tuple):
         assert new == old, (m, flavor)

@@ -33,6 +33,7 @@ from operator import or_
 
 import pytest
 
+import test_relations_reference as ref
 from kripkit import Fragment, build_example
 from kripkit import distinguish
 from kripkit import relations as rel
@@ -80,7 +81,7 @@ class _SideOps:
         return out
 
     def _succ_masks(self, relation) -> list[int]:
-        raw = rel.successors(relation)
+        raw = ref.successors(relation)
         return [self.mask(raw.get(s, _EMPTY)) for s in self.m.states]
 
     def imp(self, a: int, b: int) -> int:

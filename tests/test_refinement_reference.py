@@ -10,6 +10,11 @@ synthesize must return the same witnesses.  bisimilarity_partition
 must return the blocks of the naive fixpoint of a model against
 itself.
 
+Task and resolved_tasks are verbatim copies of the clause maps
+kripkit.bisim used to offer: each clause of a set as successor maps
+of frozensets by name.  The references here, in test_bisim and in
+test_replay_reference decode clauses with them.
+
 WorklistKernel and worklist_greatest_bisimulation keep verbatim, but
 for their names, the refinement the class refinement replaced: round 1
 judged every atom-agreeing pair, and each later round re-checked the
@@ -19,6 +24,7 @@ enough to compare on inputs too large for the naive loop.
 
 import dataclasses
 import random
+from typing import Mapping
 
 import pytest
 
@@ -27,12 +33,36 @@ from kripkit import bisim, distinguish, semantics
 from kripkit import relations as rel
 from kripkit.errors import ToolError
 from kripkit.bisim import (BisimViolation, ConditionSet, RefinementTrace,
-                           Removal, _resolved, conditions_for,
-                           resolved_tasks)
-from kripkit.model import Model, Partition
+                           Removal, _resolved, conditions_for)
+from kripkit.model import Model, Partition, _map_view
 from kripkit.sampling import random_model
 
 _EMPTY = frozenset()
+
+
+@dataclasses.dataclass(frozen=True)
+class Task:
+    """One resolved clause: a named direction over successor maps, and
+    the connective shape of its witnesses ("imp", "sub", "box", "dia",
+    "tdia" or "tbox") with its modal index (None for imp and sub)."""
+
+    clause: str
+    direction: str  # "zig" or "zag"
+    left: Mapping[str, frozenset]
+    right: Mapping[str, frozenset]
+    shape: str
+    index: int | None
+
+
+def resolved_tasks(conditions: ConditionSet, m: Model, m2: Model) -> list[Task]:
+    """Instantiate the clause set against a concrete pair of models,
+    in the fixed clause order."""
+    return [Task(clause, direction,
+                 _map_view(m.states, semantics._succ_masks(m, shape, index)),
+                 _map_view(m2.states, semantics._succ_masks(m2, shape, index)),
+                 shape, index)
+            for clause, direction, shape, index
+            in _resolved(conditions, m, m2)]
 
 
 def _atom_disagreement(pair, m: Model, m2: Model, atoms) -> str | None:

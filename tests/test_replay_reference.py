@@ -18,13 +18,14 @@ import pytest
 from kripkit import Fragment, build_example
 from kripkit import bisim, distinguish, semantics
 from kripkit.bisim import (_check_counts, conditions_for,
-                           greatest_bisimulation, resolved_tasks)
+                           greatest_bisimulation)
 from kripkit.distinguish import (_EMPTY, _MODAL_SHAPE, Witness,
                                  _check_witnessable, _dedup_and_sort, _fold)
 from kripkit.errors import InternalCheckError, PreconditionError, ToolError
 from kripkit.formula import And, Atom, Bot, Formula, Imp, Or, Sub, Top
 from kripkit.model import Model, require_valid
 from kripkit.sampling import random_model
+from test_refinement_reference import resolved_tasks
 
 
 def reference_synthesize(m: Model, m2: Model, frag: Fragment):

@@ -92,7 +92,7 @@ def test_tense_operators():
 
 
 def test_h_diamond_is_the_left_converse():
-    leq = rel.preorder_closure({("u", "v")}, ["u", "v", "w"])
+    leq = ref.preorder_closure({("u", "v")}, ["u", "v", "w"])
     r = rel.compose_all(leq, frozenset({("v", "w")}), leq)
     m = Model(["u", "v", "w"], leq, boxes=[r],
               valuation={"p": {"w"}}, flavor="h")
@@ -108,7 +108,7 @@ def test_h_diamond_is_the_left_converse():
 
 
 def test_gpt_operators():
-    leq = rel.preorder_closure({("s", "t")}, ["s", "t"])
+    leq = ref.preorder_closure({("s", "t")}, ["s", "t"])
     r = rel.compose(frozenset({("s", "s")}), leq)
     s = rel.compose(rel.converse(leq), frozenset({("t", "t")}))
     m = Model(["s", "t"], leq, boxes=[r], diamonds=[s],
@@ -229,7 +229,7 @@ def test_truth_sets_are_upward_closed(seed, row, strict):
     m = random_model(rng, flavor, n_states=5, strict=strict, **kw)
     assert m.validate().ok
     f = random_formula(rng, frag, 3, allow_ck=(flavor == "ek"))
-    assert rel.is_upset(m.leq, truth_set(f, m))
+    assert ref.is_upset(m.leq, truth_set(f, m))
 
 
 @settings(max_examples=30, deadline=None)
@@ -305,7 +305,7 @@ def reference_truth_set(f, m, ck_reflexive=False):
 
 def reference_operator(kind, m, a, b=None):
     for arg in (a, b):
-        if arg is not None and not rel.is_upset(m.leq, frozenset(arg)):
+        if arg is not None and not ref.is_upset(m.leq, frozenset(arg)):
             raise PreconditionError(
                 f"semantic operator arguments must be upsets; "
                 f"{sorted(arg)} is not upward closed")
