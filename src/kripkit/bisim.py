@@ -31,14 +31,17 @@ The rounds refine classes of the disjoint union m ⊎ m2: every clause
 set conditions_for builds pairs each zig with its zag, so the relation
 after round k is the cross part of the k-step equivalence on the
 union, and a class holding states of one model only never holds a
-pair again (greatest_bisimulation gives the argument).  Only the
-removed pairs are judged clause by clause, on a compiled kernel: the
-relation of the round before as row and column bit masks over the
-table's state numbering, each clause as the table's successor masks.
-So the trace names the clause and transition a re-check of every pair
-in every round would.  is_bisimulation reads the same kernel, and
-bisimilarity_partition reads its blocks off the classes of a model
-against itself.
+pair again (greatest_bisimulation gives the argument).  The states
+of both models are places of one semantics._Kernel: the left model's
+first, then the right one's, each in sorted order, so one int holds a
+class of the union and each clause reads one list of successor masks
+over all places.  Only the removed pairs are judged clause by clause,
+against the classes of the round before; a zag is a zig with the two
+places swapped.  So the trace names the clause and transition a
+re-check of every pair in every round would.  is_bisimulation runs
+the same check with each place's partners in place of its class, and
+bisimilarity_partition reads its blocks off the classes of the model
+refined alone.
 """
 
 from __future__ import annotations
@@ -187,82 +190,69 @@ def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
     return tasks
 
 
-class _Kernel:
-    """The resolved clauses of one pair of models compiled to bit
-    masks, with the relation under refinement held the same way.
-
-    semantics numbers states in sorted name order, so walking a mask's
-    bits from low to high visits states in the order `sorted` gives.
-    rows[i] holds the right states paired with left state i, cols[j]
-    the left states paired with right state j.  Each check is (clause,
-    zig, own, other, table): a zig reads left successors (own, by i)
-    against right ones (other, by j) through rows, a zag the other way
-    round through cols.  Its successor masks are the table's entries
-    for its shape.
-    """
-
-    def __init__(self, clauses: list[tuple], m: Model, m2: Model):
-        self.states, self.states2 = m.states, m2.states
-        self.rows = [0] * len(m.states)
-        self.cols = [0] * len(m2.states)
-        # (left, right) successor masks of each table entry read
-        self.succs: dict[tuple, tuple[list[int], list[int]]] = {}
-        self.checks = []
-        for clause, direction, shape, index in clauses:
-            succs = self.succs.get((shape, index))
-            if succs is None:
-                succs = self.succs[shape, index] = (
-                    semantics._succ_masks(m, shape, index),
-                    semantics._succ_masks(m2, shape, index))
-            left, right = succs
-            self.checks.append((clause, True, left, right, self.rows)
-                               if direction == "zig" else
-                               (clause, False, right, left, self.cols))
-        self.atoms = sorted(set(m.valuation) | set(m2.valuation))
-        self.sig = _atom_signatures(m, self.atoms)
-        self.sig2 = _atom_signatures(m2, self.atoms)
-
-    def atom_disagreement(self, i: int, j: int) -> str | None:
-        """The first atom, in sorted order, that holds at exactly one of
-        left state i and right state j."""
-        differ = self.sig[i] ^ self.sig2[j]
-        if not differ:
-            return None
-        return self.atoms[(differ & -differ).bit_length() - 1]
-
-    def first_failure(self, i: int, j: int, start: int = 0):
-        """The first clause, from checks[start] on, that pair (i, j)
-        fails against the current rows and cols, as (k, clause, side,
-        transition) naming the first transition the other side cannot
-        answer; None if they all hold."""
-        for k, (clause, zig, own, other, table) in enumerate(
-                self.checks[start:] if start else self.checks, start):
-            if zig:
-                succ, cover = own[i], other[j]
-            else:
-                succ, cover = own[j], other[i]
-            while succ:
-                low = succ & -succ
-                y = low.bit_length() - 1
-                if not table[y] & cover:
-                    if zig:
-                        return (k, clause, "left",
-                                (self.states[i], self.states[y]))
-                    return (k, clause, "right",
-                            (self.states2[j], self.states2[y]))
-                succ ^= low
-        return None
+def _checks(conditions: ConditionSet,
+            models: list[Model]) -> tuple[list[tuple], list[list[int]]]:
+    """The resolved clauses of a clause set on models laid side by
+    side (semantics._Kernel's places), as (clause, zig, masks) with
+    masks the table entry of the clause's shape over all places, and
+    the distinct entries read, in first-use order."""
+    kernel = semantics._Kernel(models)
+    entries: dict[tuple, list[int]] = {}
+    checks = []
+    for clause, direction, shape, index in _resolved(conditions, models[0],
+                                                     models[-1]):
+        masks = entries.get((shape, index))
+        if masks is None:
+            masks = entries[shape, index] = kernel.masks(shape, index)
+        checks.append((clause, direction == "zig", masks))
+    return checks, list(entries.values())
 
 
-def _atom_signatures(m: Model, atoms: list[str]) -> list[int]:
-    """Per state, bit k set when atoms[k] holds there."""
-    index = m._index
-    sig = [0] * len(index)
-    for k, a in enumerate(atoms):
-        bit = 1 << k
-        for x in m.valuation.get(a, _EMPTY):
-            sig[index[x]] |= bit
-    return sig
+def _places(models: list[Model]) -> tuple[tuple, list[str], list[int]]:
+    """The state names of the places, the atoms of all models in sorted
+    order, and each place's atom signature: bit k set when atoms[k]
+    holds there."""
+    names: tuple = ()
+    atoms: set[str] = set()
+    for m in models:
+        names += m.states
+        atoms.update(m.valuation)
+    atoms = sorted(atoms)
+    sig = [0] * len(names)
+    shift = 0
+    for m in models:
+        index, valuation = m._index, m.valuation
+        for k, a in enumerate(atoms):
+            bit = 1 << k
+            for x in valuation.get(a, _EMPTY):
+                sig[index[x] + shift] |= bit
+        shift += len(m.states)
+    return names, atoms, sig
+
+
+def _first_failure(checks: list[tuple], part: list[int], names: tuple,
+                   a: int, b: int, start: int = 0):
+    """The first check, from checks[start] on, that the pair of places
+    (a, b) fails, as (k, clause, side, transition) naming the first
+    transition the other place cannot answer; None if they all hold.
+    A successor y of one place is answered when part[y] meets the
+    successors of the other, part[y] being y's class or the mask of
+    its partners; a zig walks a's successors, a zag b's.  Walking a
+    mask's bits from low to high visits states in sorted order."""
+    for k, (clause, zig, masks) in enumerate(
+            checks[start:] if start else checks, start):
+        if zig:
+            succ, cover = masks[a], masks[b]
+        else:
+            succ, cover = masks[b], masks[a]
+        while succ:
+            low = succ & -succ
+            y = low.bit_length() - 1
+            if not part[y] & cover:
+                return (k, clause, "left" if zig else "right",
+                        (names[a if zig else b], names[y]))
+            succ ^= low
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -288,29 +278,36 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
                     conditions: ConditionSet) -> list[BisimViolation]:
     """Check a candidate relation clause by clause.  Returns every
     failure (first unmatched transition per pair and clause); empty
-    means b is a bisimulation for these conditions."""
+    means b is a bisimulation for these conditions.
+
+    The clauses run on the places of m and m2 laid side by side, each
+    place holding the mask of its partners under b."""
     pairs = frozenset((str(a), str(c)) for a, c in b)
     for x, x2 in pairs:
         if x not in m.state_set or x2 not in m2.state_set:
             raise PreconditionError(
                 f"pair ({x}, {x2}) is not in the models' carriers")
-    kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
-    index, index2 = m._index, m2._index
+    checks, _ = _checks(conditions, [m, m2])
+    names, atoms, sig = _places([m, m2])
+    index, index2, n = m._index, m2._index, len(m.states)
+    part = [0] * len(names)
     for x, x2 in pairs:
-        i, j = index[x], index2[x2]
-        kernel.rows[i] |= 1 << j
-        kernel.cols[j] |= 1 << i
+        i, j = index[x], index2[x2] + n
+        part[i] |= 1 << j
+        part[j] |= 1 << i
     out: list[BisimViolation] = []
     for pair in sorted(pairs):
-        i, j = index[pair[0]], index2[pair[1]]
-        bad_atom = kernel.atom_disagreement(i, j)
-        if bad_atom is not None:
-            out.append(BisimViolation(pair, "atoms", "", (bad_atom,)))
-        failure = kernel.first_failure(i, j)
+        i, j = index[pair[0]], index2[pair[1]] + n
+        differ = sig[i] ^ sig[j]
+        if differ:
+            out.append(BisimViolation(
+                pair, "atoms", "",
+                (atoms[(differ & -differ).bit_length() - 1],)))
+        failure = _first_failure(checks, part, names, i, j)
         while failure is not None:
             k, clause, side, transition = failure
             out.append(BisimViolation(pair, clause, side, transition))
-            failure = kernel.first_failure(i, j, k + 1)
+            failure = _first_failure(checks, part, names, i, j, k + 1)
     return out
 
 
@@ -372,148 +369,123 @@ def greatest_bisimulation(m: Model, m2: Model,
 
     Returns (relation, RefinementTrace).
     """
-    kernel, removals, rounds = _refine(m, m2, conditions)
-    states, states2 = m.states, m2.states
-    pairs = frozenset((states[i], x2) for i, row in enumerate(kernel.rows)
-                      if row for x2 in rel._names(states2, row))
+    classes, removals, rounds = _refine([m, m2], conditions)
+    states, states2, n = m.states, m2.states, len(m.states)
+    pairs = frozenset((states[i], x2) for i in range(n)
+                      for x2 in rel._names(states2, classes[i] >> n))
     return pairs, RefinementTrace(tuple(removals), rounds)
 
 
-def _refine(m: Model, m2: Model, conditions: ConditionSet,
+def _refine(models: list[Model], conditions: ConditionSet,
             judge: bool = True):
-    """The refinement of greatest_bisimulation, as (kernel, removals,
-    rounds); the kernel's rows and cols hold the fixpoint.  With judge
-    false no removed pair is judged and removals stays empty.
+    """The refinement of greatest_bisimulation on the places of one or
+    two models (semantics._Kernel), as (classes, removals, rounds):
+    classes[p] is the mask of place p's class at the fixpoint.  The
+    left side is the first model's places and the right side the
+    second's; a lone model is both sides.  With judge false no removed
+    pair is judged and removals stays empty.
 
-    Each class of a round has a bit, and a state signs its successors'
-    classes, relation by relation, as the OR of their bits; the
-    signature is one int, the state's own class bit followed by one
-    part of `width` bits per relation.  Bits 0 and 1 stand for the
-    merged left-only and right-only classes: a successor there puts a
-    bit into the signature that no state of the other model can have,
-    so its state joins a one-sided class too.  Only states of mixed
-    classes are signed.  A class is a slot [left members, right
-    members, bit] keyed by its signature, so a left state's partners
-    after the round are its slot's right members.
+    Stage 0 groups the places by atom signature.  After it each class
+    has a bit, and a place signs its successors' classes, relation by
+    relation, as the OR of their bits; the signature is one int, the
+    place's own class bit followed by one part of `width` bits per
+    relation.  Bits 0 and 1 stand for the merged left-only and
+    right-only classes: a successor there puts a bit into the
+    signature that no place of the other side can have, so its place
+    joins a one-sided class too.  Only places of mixed classes, which
+    hold both sides, are signed, and each signature's places form a
+    class inside a mixed class of the round before; so a round splits
+    no class when it makes as many classes as there were mixed ones.
+    A left place's partners are its class's right places, so a round's
+    removed pairs are judged before the classes are updated.
     """
     if (conditions.order_forth != conditions.order_back
             or conditions.dual_forth != conditions.dual_back):
         raise PreconditionError(
             "greatest_bisimulation needs every zig clause paired with its "
             "zag; is_bisimulation checks one-way clause sets")
-    kernel = _Kernel(_resolved(conditions, m, m2), m, m2)
-    states, states2 = m.states, m2.states
-    rows, cols = kernel.rows, kernel.cols
-    sig, sig2 = kernel.sig, kernel.sig2
-    # stage 0: the classes are the atom signatures
-    left: dict[int, int] = {}
-    right: dict[int, int] = {}
-    for i, s in enumerate(sig):
-        left[s] = left.get(s, 0) | 1 << i
-    for j, s in enumerate(sig2):
-        right[s] = right.get(s, 0) | 1 << j
-    bit = {s: 4 << k for k, s in enumerate(left.keys() & right.keys())}
+    checks, entries = _checks(conditions, models)
+    names, atoms, sig = _places(models)
+    n = len(models[0].states)
+    left = (1 << n) - 1
+    right = (1 << len(names)) - 1 ^ left if len(models) > 1 else left
+    classes = [left | right] * len(names)
+    bits = [0] * len(names)
+    live, keys = range(len(names)), sig
     removals: list[Removal] = []
-    everyone2 = (1 << len(states2)) - 1
-    atoms = kernel.atoms
-    bits: list[int] = []
-    live: list[int] = []  # the left states in mixed classes
-    for i, (x, s) in enumerate(zip(states, sig)):
-        bits.append(bit.get(s, 1))
-        if bits[i] == 1:
-            gone = everyone2
-        else:
-            live.append(i)
-            rows[i] = right[s]
-            gone = everyone2 ^ rows[i]
-        while judge and gone:
-            low = gone & -gone
-            gone ^= low
-            j = low.bit_length() - 1
-            differ = s ^ sig2[j]
-            removals.append(Removal(
-                (x, states2[j]), 0, "atoms", "",
-                (atoms[(differ & -differ).bit_length() - 1],)))
-    bits2: list[int] = []
-    live2: list[int] = []
-    for j, s in enumerate(sig2):
-        bits2.append(bit.get(s, 2))
-        if bits2[j] != 2:
-            live2.append(j)
-            cols[j] = left[s]
-
-    succs = [masks for masks, _ in kernel.succs.values()]
-    succs2 = [masks for _, masks in kernel.succs.values()]
-    first_failure = kernel.first_failure
-    width = len(bit) + 3
-    rounds = 0
-    while live:
-        stage = rounds + 1
+    stage = rounds = mixed = 0
+    while True:
         slots: dict[int, list[int]] = {}
         mine: list[list[int]] = []
-        mine2: list[list[int]] = []
-        for xs, own, masks, out, side in ((live, bits, succs, mine, 0),
-                                          (live2, bits2, succs2, mine2, 1)):
-            for x in xs:
-                key = own[x]
-                for succ in masks:
-                    key <<= width
-                    row = succ[x]
-                    while row:
-                        low = row & -row
-                        key |= own[low.bit_length() - 1]
-                        row ^= low
-                slot = slots.get(key)
-                if slot is None:
-                    slot = slots[key] = [0, 0]
-                slot[side] |= 1 << x
-                out.append(slot)
-        if all(rows[x] == slot[1] for x, slot in zip(live, mine)):
-            break  # the round removes no pair
-        if judge:
-            for x, slot in zip(live, mine):
-                gone = rows[x] ^ slot[1]
-                while gone:
-                    low = gone & -gone
-                    gone ^= low
-                    j = low.bit_length() - 1
-                    failure = first_failure(x, j)
+        for x, key in zip(live, keys):
+            slot = slots.get(key)
+            if slot is None:
+                slot = slots[key] = [0]
+            slot[0] |= 1 << x
+            mine.append(slot)
+        if stage and len(slots) == mixed:
+            break  # no class split, so the round removes no pair
+        for x, slot in zip(live, mine) if judge else ():
+            if x >= n:
+                break
+            gone = (classes[x] ^ slot[0]) & right
+            while gone:
+                low = gone & -gone
+                gone ^= low
+                j = low.bit_length() - 1
+                if stage:
+                    failure = _first_failure(checks, classes, names, x, j)
                     if failure is None:
                         raise InternalCheckError(
-                            f"pair ({states[x]}, {states2[j]}) left the "
+                            f"pair ({names[x]}, {names[j]}) left the "
                             f"refinement in round {stage} but fails no "
                             "clause")
                     _, clause, side, transition = failure
-                    removals.append(Removal((states[x], states2[j]), stage,
-                                            clause, side, transition))
+                else:
+                    differ = sig[x] ^ sig[j]
+                    clause, side, transition = "atoms", "", (
+                        atoms[(differ & -differ).bit_length() - 1],)
+                removals.append(Removal((names[x], names[j]), stage,
+                                        clause, side, transition))
         rounds = stage
-        b = 4
+        mixed = 0
         for slot in slots.values():
-            if slot[0] and slot[1]:
-                slot.append(b)
-                b <<= 1
+            c = slot[0]
+            if c & left and c & right:
+                slot.append(4 << mixed)
+                mixed += 1
             else:
-                slot.append(1 if slot[0] else 2)
-        width = b.bit_length()
-        for x, slot in zip(live, mine):
-            rows[x], bits[x] = slot[1:]
-        for x, slot in zip(live2, mine2):
-            cols[x] = slot[0]
-            bits2[x] = slot[2]
-        if b == 4:  # no class holds states of both models
-            break
-        live = [x for x in live if rows[x]]
-        live2 = [x for x in live2 if cols[x]]
-    return kernel, removals, rounds
+                slot.append(1 if c & left else 2)
+        for x, (c, b) in zip(live, mine):
+            classes[x] = c
+            bits[x] = b
+        live = [x for x in live if bits[x] > 2]
+        if not live:
+            break  # no class holds places of both sides
+        stage += 1
+        width = mixed + 3
+        keys = []
+        for x in live:
+            key = bits[x]
+            for succ in entries:
+                key <<= width
+                row = succ[x]
+                while row:
+                    low = row & -row
+                    key |= bits[low.bit_length() - 1]
+                    row ^= low
+            keys.append(key)
+    return classes, removals, rounds
 
 
 def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
     """Blocks of mutually bisimilar states of one model, named by
-    least member: the classes of the model's refinement against
-    itself.  The fixpoint must come out an equivalence, which is
+    least member: the classes of the refinement of the model alone.
+    A state and its copy in m ⊎ m always share a class, so these are
+    the blocks of the model's refinement against itself, on half the
+    places.  The fixpoint must come out an equivalence, which is
     checked on its rows; anything else is an internal bug."""
-    kernel, _, _ = _refine(m, m, conditions, judge=False)
-    rows = kernel.rows
+    rows, _, _ = _refine([m], conditions, judge=False)
     for i, row in enumerate(rows):
         if not row >> i & 1:
             raise InternalCheckError(
@@ -532,8 +504,10 @@ def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
 def directed_conversion(value):
     """Swap between the symmetric and directed presentations of a
     bisimulation: a relation B becomes the pair (B, B converse); a
-    pair (Z1, Z2) collapses to Z1 ∩ converse(Z2)."""
-    if isinstance(value, tuple) and len(value) == 2:
+    pair (Z1, Z2) of collections of pairs collapses to
+    Z1 ∩ converse(Z2).  A tuple of two pairs of names is a relation."""
+    if (isinstance(value, tuple) and len(value) == 2
+            and not any(isinstance(p, str) for z in value for p in z)):
         z1, z2 = (frozenset(tuple(p) for p in z) for z in value)
         return z1 & rel.converse(z2)
     b = frozenset(tuple(p) for p in value)

@@ -44,7 +44,11 @@ one step per pair, and truth_set decodes one mask per node it
 evaluates, but for the empty and the full mask, which stand for the
 shared empty set and the model's state_set.
 
-_Kernel lays several models' masks side by side, and
+_Kernel lays several models' masks side by side: place offsets[k] + i
+is state i of models[k], so one int holds a state set of every model,
+and a table entry over all places keeps the first model's masks as
+they are and shifts the others'.  The bisimulation refinement reads
+those entries, and the oracle's connectives scan them.
 _definable_preorder computes the least family of masks closed under
 its connectives as the preorder that family is the upsets of, giving
 each connective each irreducible argument once.  The
@@ -58,7 +62,6 @@ it holds MAX_EVAL_CACHE entries.
 from __future__ import annotations
 
 from functools import partial, reduce
-from itertools import accumulate
 from operator import or_
 from typing import Iterator
 
@@ -259,8 +262,22 @@ class _Kernel:
 
     def __init__(self, models: list[Model]):
         self.models = models
-        self.offsets = list(accumulate([len(m.states) for m in models[:-1]],
-                                       initial=0))
+        self.offsets = [0]
+        for m in models[:-1]:
+            self.offsets.append(self.offsets[-1] + len(m.states))
+
+    def masks(self, key, index=None) -> list[int]:
+        """Table entry (key, index) over all places: place offsets[k] + i
+        holds state i of models[k], and its mask is shifted by
+        offsets[k].  The first model's masks are its table's own ints,
+        not shifted copies."""
+        models = self.models
+        out = _succ_masks(models[0], key, index)
+        for k in range(1, len(models)):
+            shift = self.offsets[k]
+            out = out + [x << shift for x in _succ_masks(models[k], key,
+                                                         index)]
+        return out
 
     def connective(self, key, index=None):
         """Table entry (key, index) as a connective on masks: for the
@@ -268,8 +285,7 @@ class _Kernel:
         that is all imp(a, b) and sub(a, b) depend on, and for a key of
         _MODAL a function of a.  A call scans each state's successor
         mask once."""
-        succ = [x << shift for m, shift in zip(self.models, self.offsets)
-                for x in _succ_masks(m, key, index)]
+        succ = self.masks(key, index)
         if key == "imp":
             return partial(_bits_disjoint, succ)
         if key == "sub":

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -179,6 +178,10 @@ def test_directed_conversion():
     asym = frozenset({("y", "z")})
     assert directed_conversion((asym, frozenset({("z", "y")}))) == asym
     assert directed_conversion((asym, frozenset())) == frozenset()
+    # a tuple of two pairs of names is a relation, not a directed pair
+    two = (("x", "y"), ("y", "z"))
+    assert directed_conversion(two) == (frozenset(two),
+                                        frozenset({("y", "x"), ("z", "y")}))
 
 
 ROWS = [
@@ -250,7 +253,7 @@ def test_bisimilarity_partition_rejects_a_fixpoint_that_is_no_equivalence(
             ([0b0011, 0b0010, 0b0100, 0b1000], "not an equivalence at s1_1"),
             ([0b0011, 0b0111, 0b0110, 0b1000], "not an equivalence at ")):
         monkeypatch.setattr(bisim, "_refine", lambda *_, **__: (
-            SimpleNamespace(rows=list(rows)), [], 0))
+            list(rows), [], 0))
         with pytest.raises(InternalCheckError, match=f"^bisimilarity is "
                                                      f"{message}"):
             bisimilarity_partition(m, INT_BOX)
