@@ -35,13 +35,14 @@ pair again (greatest_bisimulation gives the argument).  The states
 of both models are places of one semantics._Kernel: the left model's
 first, then the right one's, each in sorted order, so one int holds a
 class of the union and each clause reads one list of successor masks
-over all places.  Only the removed pairs are judged clause by clause,
-against the classes of the round before; a zag is a zig with the two
-places swapped.  So the trace names the clause and transition a
-re-check of every pair in every round would.  is_bisimulation runs
-the same check with each place's partners in place of its class, and
-bisimilarity_partition reads its blocks off the classes of the model
-refined alone.
+over all places; the kernel also names the places, gives the atoms'
+masks and decodes the fixpoint.  Only the removed pairs are judged
+clause by clause, against the classes of the round before; a zag is a
+zig with the two places swapped.  So the trace names the clause and
+transition a re-check of every pair in every round would.
+is_bisimulation runs the same check with each place's partners in
+place of its class, and bisimilarity_partition reads its blocks off
+the classes of the model refined alone.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ from .errors import FlavorError, InternalCheckError, PreconditionError
 from .formula import Fragment
 from .model import (_SHAPES, EK, FS, GPT, H, STANDARD, TENSE, Model,
                     Partition)
-
-_EMPTY = frozenset()
 
 
 @dataclass(frozen=True)
@@ -191,16 +190,15 @@ def _resolved(conditions: ConditionSet, m: Model, m2: Model) -> list[tuple]:
 
 
 def _checks(conditions: ConditionSet,
-            models: list[Model]) -> tuple[list[tuple], list[list[int]]]:
-    """The resolved clauses of a clause set on models laid side by
-    side (semantics._Kernel's places), as (clause, zig, masks) with
-    masks the table entry of the clause's shape over all places, and
-    the distinct entries read, in first-use order."""
-    kernel = semantics._Kernel(models)
+            kernel: semantics._Kernel) -> tuple[list[tuple], list[list[int]]]:
+    """The resolved clauses of a clause set on the kernel's places, as
+    (clause, zig, masks) with masks the table entry of the clause's
+    shape over all places, and the distinct entries read, in first-use
+    order."""
     entries: dict[tuple, list[int]] = {}
     checks = []
-    for clause, direction, shape, index in _resolved(conditions, models[0],
-                                                     models[-1]):
+    for clause, direction, shape, index in _resolved(
+            conditions, kernel.models[0], kernel.models[-1]):
         masks = entries.get((shape, index))
         if masks is None:
             masks = entries[shape, index] = kernel.masks(shape, index)
@@ -208,26 +206,18 @@ def _checks(conditions: ConditionSet,
     return checks, list(entries.values())
 
 
-def _places(models: list[Model]) -> tuple[tuple, list[str], list[int]]:
-    """The state names of the places, the atoms of all models in sorted
-    order, and each place's atom signature: bit k set when atoms[k]
-    holds there."""
-    names: tuple = ()
-    atoms: set[str] = set()
-    for m in models:
-        names += m.states
-        atoms.update(m.valuation)
-    atoms = sorted(atoms)
-    sig = [0] * len(names)
-    shift = 0
-    for m in models:
-        index, valuation = m._index, m.valuation
-        for k, a in enumerate(atoms):
-            bit = 1 << k
-            for x in valuation.get(a, _EMPTY):
-                sig[index[x] + shift] |= bit
-        shift += len(m.states)
-    return names, atoms, sig
+def _signatures(kernel: semantics._Kernel) -> tuple[list[str], list[int]]:
+    """The kernel's atoms in sorted order, and each place's atom
+    signature: bit k set when atoms[k] holds there."""
+    atoms, masks = kernel.atoms()
+    sig = [0] * len(kernel.names)
+    for k, mask in enumerate(masks):
+        bit = 1 << k
+        while mask:
+            low = mask & -mask
+            sig[low.bit_length() - 1] |= bit
+            mask ^= low
+    return atoms, sig
 
 
 def _first_failure(checks: list[tuple], part: list[int], names: tuple,
@@ -287,10 +277,11 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
         if x not in m.state_set or x2 not in m2.state_set:
             raise PreconditionError(
                 f"pair ({x}, {x2}) is not in the models' carriers")
-    checks, _ = _checks(conditions, [m, m2])
-    names, atoms, sig = _places([m, m2])
-    index, index2, n = m._index, m2._index, len(m.states)
-    part = [0] * len(names)
+    kernel = semantics._Kernel([m, m2])
+    checks, _ = _checks(conditions, kernel)
+    atoms, sig = _signatures(kernel)
+    index, index2, n = m._index, m2._index, kernel.offsets[1]
+    part = [0] * len(kernel.names)
     for x, x2 in pairs:
         i, j = index[x], index2[x2] + n
         part[i] |= 1 << j
@@ -303,11 +294,11 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
             out.append(BisimViolation(
                 pair, "atoms", "",
                 (atoms[(differ & -differ).bit_length() - 1],)))
-        failure = _first_failure(checks, part, names, i, j)
+        failure = _first_failure(checks, part, kernel.names, i, j)
         while failure is not None:
             k, clause, side, transition = failure
             out.append(BisimViolation(pair, clause, side, transition))
-            failure = _first_failure(checks, part, names, i, j, k + 1)
+            failure = _first_failure(checks, part, kernel.names, i, j, k + 1)
     return out
 
 
@@ -369,17 +360,16 @@ def greatest_bisimulation(m: Model, m2: Model,
 
     Returns (relation, RefinementTrace).
     """
-    classes, removals, rounds = _refine([m, m2], conditions)
-    states, states2, n = m.states, m2.states, len(m.states)
-    pairs = frozenset((states[i], x2) for i in range(n)
-                      for x2 in rel._names(states2, classes[i] >> n))
-    return pairs, RefinementTrace(tuple(removals), rounds)
+    kernel = semantics._Kernel([m, m2])
+    classes, removals, rounds = _refine(kernel, conditions)
+    trace = RefinementTrace(tuple(removals), rounds)
+    return kernel.cross_pairs(classes), trace
 
 
-def _refine(models: list[Model], conditions: ConditionSet,
+def _refine(kernel: semantics._Kernel, conditions: ConditionSet,
             judge: bool = True):
-    """The refinement of greatest_bisimulation on the places of one or
-    two models (semantics._Kernel), as (classes, removals, rounds):
+    """The refinement of greatest_bisimulation on the places of a
+    kernel of one or two models, as (classes, removals, rounds):
     classes[p] is the mask of place p's class at the fixpoint.  The
     left side is the first model's places and the right side the
     second's; a lone model is both sides.  With judge false no removed
@@ -404,11 +394,12 @@ def _refine(models: list[Model], conditions: ConditionSet,
         raise PreconditionError(
             "greatest_bisimulation needs every zig clause paired with its "
             "zag; is_bisimulation checks one-way clause sets")
-    checks, entries = _checks(conditions, models)
-    names, atoms, sig = _places(models)
-    n = len(models[0].states)
+    checks, entries = _checks(conditions, kernel)
+    names = kernel.names
+    atoms, sig = _signatures(kernel)
+    n = len(kernel.models[0].states)
     left = (1 << n) - 1
-    right = (1 << len(names)) - 1 ^ left if len(models) > 1 else left
+    right = (1 << len(names)) - 1 ^ left if len(kernel.models) > 1 else left
     classes = [left | right] * len(names)
     bits = [0] * len(names)
     live, keys = range(len(names)), sig
@@ -485,7 +476,7 @@ def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
     the blocks of the model's refinement against itself, on half the
     places.  The fixpoint must come out an equivalence, which is
     checked on its rows; anything else is an internal bug."""
-    rows, _, _ = _refine([m], conditions, judge=False)
+    rows, _, _ = _refine(semantics._Kernel([m]), conditions, judge=False)
     for i, row in enumerate(rows):
         if not row >> i & 1:
             raise InternalCheckError(

@@ -41,11 +41,12 @@ Those sets are the upsets of one preorder on the states (Birkhoff), so
 without a budget the oracle refines that preorder by the connectives
 applied to irreducible sets, each connective to each irreducible once,
 in polynomial time; a budget instead
-lists definable sets, cheapest formula first.  It works on bit masks,
-and the preorder refinement is semantics._definable_preorder, which
-genframe.close_algebra and genframe.is_general_model share; it shares
-no code with the bisimulation refinement.  hennessy_milner_check ties
-the two together.
+lists definable sets, cheapest formula first.  It works on the bit
+masks of a semantics._Kernel, which also gives its atoms and decodes
+its classes; semantics._definable_preorder, which
+genframe.close_algebra and genframe.is_general_model share, refines
+the preorder.  It shares only the kernel with the bisimulation
+refinement.  hennessy_milner_check ties the two together.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .errors import InternalCheckError, PreconditionError
 from .formula import (And, Atom, Bot, Box, Dia, Formula, Fragment, Imp, Or,
                       Sub, TBox, TDia, Top, connective_count, to_string)
 from .model import Model, require_valid
-from .relations import _bits
 
 _EMPTY = frozenset()
 
@@ -354,13 +354,9 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
             arrows.append(op)
         else:
             modal.append((op, semantics._MODAL[key]))
-    atoms = sorted(set(m.valuation) | set(m2.valuation))
-    n = len(m.states) + len(m2.states)
+    n = len(kernel.names)
     full = (1 << n) - 1
-    generators = [0, full] + [
-        semantics._mask(m, m.valuation.get(a, _EMPTY))
-        | semantics._mask(m2, m2.valuation.get(a, _EMPTY)) << kernel.offsets[1]
-        for a in atoms]
+    generators = [0, full, *kernel.atoms()[1]]
     if budget is None:
         classes = semantics._definable_preorder(n, generators, modal, arrows)
         exact = True
@@ -369,12 +365,7 @@ def bounded_equivalence_oracle(m: Model, m2: Model, frag: Fragment,
             generators, [op for op, _ in modal], arrows, budget)
         classes = {full: full}
         semantics._refine(classes, closed)
-
-    shift = kernel.offsets[1]
-    pairs = {(m.states[i], m2.states[j]) for members in classes.values()
-             for i in _bits(members & (1 << shift) - 1)
-             for j in _bits(members >> shift)}
-    return frozenset(pairs), exact
+    return kernel.cross_pairs(classes.values()), exact
 
 
 @dataclass(frozen=True)

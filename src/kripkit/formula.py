@@ -268,8 +268,8 @@ def _tokenize(text: str) -> list[_Token]:
 
 # The deepest formula parse accepts: at most this many edges from the
 # root to a leaf, and at most this many nested parentheses.  Parsing
-# recurses twice per parenthesis and evaluating twice per level
-# (truth_set and its helper for children), against the default
+# recurses twice per parenthesis and truth_set once per level (a chain
+# of boxes evaluates to about 996 levels), against the default
 # recursion limit of 1000.  Hashing and comparing visit one node, since
 # a node stores its hash and equal nodes are one object; printing,
 # translating and the structural measures walk with a stack.  300

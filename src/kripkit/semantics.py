@@ -47,8 +47,11 @@ shared empty set and the model's state_set.
 _Kernel lays several models' masks side by side: place offsets[k] + i
 is state i of models[k], so one int holds a state set of every model,
 and a table entry over all places keeps the first model's masks as
-they are and shifts the others'.  The bisimulation refinement reads
-those entries, and the oracle's connectives scan them.
+they are and shifts the others'.  Only it knows that layout: the
+refinement and the oracle take from it each place's state, the atoms'
+masks and the pairs of the two models' states in a class of places.
+The mask connectives are one scan, _bits_meeting, complemented for a
+box and ->.
 _definable_preorder computes the least family of masks closed under
 its connectives as the preorder that family is the upsets of, giving
 each connective each irreducible argument once.  The
@@ -219,26 +222,13 @@ def _upset(m: Model, a: int) -> int:
 # state, read back as a binary numeral in one conversion; shorter ones
 # build the result a bit at a time, since each step of that loop
 # shifts and ORs an int as long as the list, which is quadratic in the
-# end.  The switch is where the flags won on every kind of mask
-# measured (CPython 3.11, best of many runs): on chains, random sparse
-# and random dense masks, the flags took 0.78-0.88 of the loop's time
-# at 64 masks and 0.68-0.75 at 256, were within a tenth of it at 32,
-# and were slower below that, 1.16-1.28 times at 16 and 1.8 times at
-# 8.
+# end; boxes and -> complement this one scan.  The switch is where the
+# flags won on every kind of mask measured (CPython 3.11, best of many
+# runs): on chains, random sparse and random dense masks, the flags
+# took 0.78-0.88 of the loop's time at 64 masks and 0.68-0.75 at 256,
+# were within a tenth of it at 32, and were slower below that,
+# 1.16-1.28 times at 16 and 1.8 times at 8.
 _LONG_SCAN = 64
-
-
-def _bits_disjoint(masks: list[int], d: int) -> int:
-    """Bit k set where masks[k] and d share no bit."""
-    if len(masks) >= _LONG_SCAN:
-        return int("".join(["0" if mask & d else "1"
-                            for mask in reversed(masks)]), 2)
-    out, bit = 0, 1
-    for mask in masks:
-        if not mask & d:
-            out |= bit
-        bit <<= 1
-    return out
 
 
 def _bits_meeting(masks: list[int], d: int) -> int:
@@ -258,13 +248,39 @@ class _Kernel:
     """Bit masks over models laid side by side: bit offsets[k] + i is
     the i-th state of models[k], so one integer holds a state set of
     every model at once, and & and | act on all of them.  Each model's
-    masks come from its own table, shifted past the models before it."""
+    masks come from its own table, shifted past the models before it.
+    names[p] is the state at place p."""
 
     def __init__(self, models: list[Model]):
         self.models = models
+        self.names = sum((m.states for m in models), ())
         self.offsets = [0]
         for m in models[:-1]:
             self.offsets.append(self.offsets[-1] + len(m.states))
+
+    def atoms(self) -> tuple[list[str], list[int]]:
+        """The atoms of all the models in sorted order, and each atom's
+        mask over the places: the states where it holds."""
+        masks: dict[str, int] = {}
+        for m, shift in zip(self.models, self.offsets):
+            for a, xs in m.valuation.items():
+                masks[a] = masks.get(a, 0) | _mask(m, xs) << shift
+        atoms = sorted(masks)
+        return atoms, [masks[a] for a in atoms]
+
+    def cross_pairs(self, classes) -> frozenset:
+        """The pairs (x, x2) of a state of the first model and a state
+        of the second whose places lie in one of the masks classes."""
+        states, states2 = self.models[0].states, self.models[1].states
+        shift = self.offsets[1]
+        first = (1 << shift) - 1
+        pairs = []
+        for c in set(classes):
+            if c & first and c >> shift:
+                right = list(rel._names(states2, c >> shift))
+                pairs += [(x, x2) for x in rel._names(states, c & first)
+                          for x2 in right]
+        return frozenset(pairs)
 
     def masks(self, key, index=None) -> list[int]:
         """Table entry (key, index) over all places: place offsets[k] + i
@@ -284,14 +300,13 @@ class _Kernel:
         arrows "imp" and "sub" (index None) a function of a & ~b, since
         that is all imp(a, b) and sub(a, b) depend on, and for a key of
         _MODAL a function of a.  A call scans each state's successor
-        mask once."""
+        mask once; "imp" and the boxes keep the states it leaves out."""
         succ = self.masks(key, index)
+        full = (1 << len(succ)) - 1
         if key == "imp":
-            return partial(_bits_disjoint, succ)
-        if key == "sub":
-            return partial(_bits_meeting, succ)
-        if _MODAL[key]:
-            return lambda a: _bits_disjoint(succ, ~a)
+            return lambda d: full ^ _bits_meeting(succ, d)
+        if _MODAL.get(key):
+            return lambda a: full ^ _bits_meeting(succ, ~a)
         return partial(_bits_meeting, succ)
 
 
@@ -407,6 +422,7 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
         return hit[0]
     if len(cache) >= MAX_EVAL_CACHE:
         cache.clear()
+    full = (1 << len(m.states)) - 1
     op = type(f)
     if isinstance(f, _Binary):
         left, right = f.left, f.right
@@ -419,7 +435,7 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
         elif isinstance(f, Or):
             mask = a | b
         elif isinstance(f, Imp):
-            mask = _bits_disjoint(_succ_masks(m, "imp"), a & ~b)
+            mask = full ^ _bits_meeting(_succ_masks(m, "imp"), a & ~b)
         else:
             mask = _bits_meeting(_succ_masks(m, "sub"), a & ~b)
     elif op in _MODAL:
@@ -428,7 +444,7 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
         truth_set(body, m, ck_reflexive)
         a = cache[body, ck_reflexive][1]
         if _MODAL[op]:
-            mask = _bits_disjoint(succ, ((1 << len(succ)) - 1) ^ a)
+            mask = full ^ _bits_meeting(succ, full ^ a)
         else:
             mask = _bits_meeting(succ, a)
     elif isinstance(f, Atom):
@@ -436,7 +452,7 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
         cache[key] = (out, _mask(m, out))
         return out
     elif isinstance(f, Top):
-        cache[key] = (m.state_set, (1 << len(m.states)) - 1)
+        cache[key] = (m.state_set, full)
         return m.state_set
     elif isinstance(f, Bot):
         cache[key] = (_EMPTY, 0)
@@ -445,7 +461,7 @@ def truth_set(f: Formula, m: Model, ck_reflexive: bool = False) -> frozenset:
         raise FlavorError(f"no evaluation clause for {op.__name__}")
     if not mask:
         out = _EMPTY
-    elif mask == (1 << len(m.states)) - 1:
+    elif mask == full:
         out = m.state_set
     else:
         out = frozenset(rel._names(m.states, mask))
