@@ -38,11 +38,19 @@ class of the union and each clause reads one list of successor masks
 over all places; the kernel also names the places, gives the atoms'
 masks and decodes the fixpoint.  Only the removed pairs are judged
 clause by clause, against the classes of the round before; a zag is a
-zig with the two places swapped.  So the trace names the clause and
+zig with the two places swapped, and a zig's failure, which depends
+on the right place only through its class in the round, is found once
+per left place and new class.  So the trace names the clause and
 transition a re-check of every pair in every round would.
 is_bisimulation runs the same check with each place's partners in
 place of its class, and bisimilarity_partition reads its blocks off
 the classes of the model refined alone.
+
+The trace is stored as columns: five ints per removed pair (its two
+places, the stage, the check and the transition's target) in one flat
+list, with a legend that names the places, the atoms and the checks.
+RefinementTrace.removals decodes the rows into Removal objects on
+first read; the bisim verb and synthesize read the rows themselves.
 """
 
 from __future__ import annotations
@@ -208,9 +216,19 @@ def _checks(conditions: ConditionSet,
 
 def _signatures(kernel: semantics._Kernel) -> tuple[list[str], list[int]]:
     """The kernel's atoms in sorted order, and each place's atom
-    signature: bit k set when atoms[k] holds there."""
+    signature: bit k set when atoms[k] holds there.  On few places a
+    mask is walked bit by bit; on many that costs a whole-int step per
+    bit, so relations._names reads each mask instead."""
     atoms, masks = kernel.atoms()
-    sig = [0] * len(kernel.names)
+    n = len(kernel.names)
+    sig = [0] * n
+    if n >= semantics._LONG_SCAN:
+        places = range(n)
+        for k, mask in enumerate(masks):
+            bit = 1 << k
+            for p in rel._names(places, mask):
+                sig[p] |= bit
+        return atoms, sig
     for k, mask in enumerate(masks):
         bit = 1 << k
         while mask:
@@ -220,16 +238,16 @@ def _signatures(kernel: semantics._Kernel) -> tuple[list[str], list[int]]:
     return atoms, sig
 
 
-def _first_failure(checks: list[tuple], part: list[int], names: tuple,
-                   a: int, b: int, start: int = 0):
+def _first_failure(checks: list[tuple], part: list[int], a: int, b: int,
+                   start: int = 0):
     """The first check, from checks[start] on, that the pair of places
-    (a, b) fails, as (k, clause, side, transition) naming the first
-    transition the other place cannot answer; None if they all hold.
-    A successor y of one place is answered when part[y] meets the
-    successors of the other, part[y] being y's class or the mask of
-    its partners; a zig walks a's successors, a zag b's.  Walking a
-    mask's bits from low to high visits states in sorted order."""
-    for k, (clause, zig, masks) in enumerate(
+    (a, b) fails, as (k, y) with y the first successor the other place
+    cannot answer; None if they all hold.  A successor y of one place is
+    answered when part[y] meets the successors of the other, part[y]
+    being y's class or the mask of its partners; a zig walks a's
+    successors, a zag b's.  Walking a mask's bits from low to high
+    visits states in sorted order."""
+    for k, (_, zig, masks) in enumerate(
             checks[start:] if start else checks, start):
         if zig:
             succ, cover = masks[a], masks[b]
@@ -239,8 +257,7 @@ def _first_failure(checks: list[tuple], part: list[int], names: tuple,
             low = succ & -succ
             y = low.bit_length() - 1
             if not part[y] & cover:
-                return (k, clause, "left" if zig else "right",
-                        (names[a if zig else b], names[y]))
+                return k, y
             succ ^= low
     return None
 
@@ -280,8 +297,9 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
     kernel = semantics._Kernel([m, m2])
     checks, _ = _checks(conditions, kernel)
     atoms, sig = _signatures(kernel)
-    index, index2, n = m._index, m2._index, kernel.offsets[1]
-    part = [0] * len(kernel.names)
+    names, index, index2 = kernel.names, m._index, m2._index
+    n = kernel.offsets[1]
+    part = [0] * len(names)
     for x, x2 in pairs:
         i, j = index[x], index2[x2] + n
         part[i] |= 1 << j
@@ -294,11 +312,14 @@ def is_bisimulation(b: Iterable[tuple[str, str]], m: Model, m2: Model,
             out.append(BisimViolation(
                 pair, "atoms", "",
                 (atoms[(differ & -differ).bit_length() - 1],)))
-        failure = _first_failure(checks, part, kernel.names, i, j)
+        failure = _first_failure(checks, part, i, j)
         while failure is not None:
-            k, clause, side, transition = failure
-            out.append(BisimViolation(pair, clause, side, transition))
-            failure = _first_failure(checks, part, kernel.names, i, j, k + 1)
+            k, y = failure
+            clause, zig, _ = checks[k]
+            out.append(BisimViolation(
+                pair, clause, "left" if zig else "right",
+                (names[i if zig else j], names[y])))
+            failure = _first_failure(checks, part, i, j, k + 1)
     return out
 
 
@@ -314,10 +335,99 @@ class Removal:
     transition: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class RefinementTrace:
-    removals: tuple[Removal, ...]
-    rounds: int
+    """The removals of a refinement, in removal order, and its number
+    of rounds.  Equality, hash and repr are those of the pair
+    (removals, rounds).
+
+    greatest_bisimulation stores the removals as rows of five ints in
+    one flat list, with no object per pair: the left place, the right
+    place, the stage, the check index (-1 for atoms) and the target
+    place (the atom index for atoms).  A legend holds the places'
+    names, the atoms and each check's clause name and zig flag.
+    removals decodes the rows into Removal objects on first read and
+    keeps them."""
+
+    __slots__ = ("_removals", "_rounds", "_rows", "_legend")
+
+    def __init__(self, removals: Iterable[Removal], rounds: int):
+        self._removals = tuple(removals)
+        self._rounds = rounds
+        self._rows = self._legend = None
+
+    @classmethod
+    def _of_rows(cls, rows: list[int], legend: tuple, rounds: int):
+        """A trace held as rows over a legend (names, atoms, clauses),
+        clauses being each check's (clause name, zig flag)."""
+        trace = cls.__new__(cls)
+        trace._removals = None
+        trace._rounds = rounds
+        trace._rows, trace._legend = rows, legend
+        return trace
+
+    @property
+    def rounds(self) -> int:
+        return self._rounds
+
+    @property
+    def removals(self) -> tuple[Removal, ...]:
+        if self._removals is None:
+            self._removals = tuple(Removal(*fields)
+                                   for fields in self._fields())
+        return self._removals
+
+    def _fields(self) -> Iterator[tuple]:
+        """Each removal's (pair, stage, clause, side, transition), in
+        removal order, decoded from the rows when the trace has them."""
+        if self._rows is None:
+            for r in self._removals:
+                yield r.pair, r.stage, r.clause, r.side, r.transition
+            return
+        names, atoms, clauses = self._legend
+        for a, b, stage, k, t in zip(*[iter(self._rows)] * 5):
+            if k < 0:
+                yield (names[a], names[b]), stage, "atoms", "", (atoms[t],)
+                continue
+            clause, zig = clauses[k]
+            yield ((names[a], names[b]), stage, clause,
+                   "left" if zig else "right",
+                   (names[a if zig else b], names[t]))
+
+    def _rows_on(self, m: Model, m2: Model,
+                 clauses: tuple) -> tuple[list[int], list[str]]:
+        """The rows over the places of m and m2 side by side and the
+        checks named by clauses, with the atoms an atom row indexes.
+        A trace built on those names and clauses gives its own rows;
+        any other is encoded from its removals."""
+        names = m.states + m2.states
+        if (self._rows is not None and self._legend[2] == clauses
+                and self._legend[0] == names):
+            return self._rows, self._legend[1]
+        n, index, index2 = len(m.states), m._index, m2._index
+        check = {clause: k for k, (clause, _) in enumerate(clauses)}
+        atoms: dict[str, int] = {}
+        rows: list[int] = []
+        for r in self.removals:
+            x, x2 = r.pair
+            if r.clause == "atoms":
+                k, t = -1, atoms.setdefault(r.transition[0], len(atoms))
+            else:
+                k, y = check[r.clause], r.transition[1]
+                t = index[y] if r.side == "left" else index2[y] + n
+            rows += (index[x], index2[x2] + n, r.stage, k, t)
+        return rows, list(atoms)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.removals, self.rounds) == (other.removals, other.rounds)
+
+    def __hash__(self):
+        return hash((self.removals, self.rounds))
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(removals={self.removals!r}, "
+                f"rounds={self.rounds!r})")
 
     def by_pair(self) -> dict[tuple[str, str], Removal]:
         return {r.pair: r for r in self.removals}
@@ -361,19 +471,19 @@ def greatest_bisimulation(m: Model, m2: Model,
     Returns (relation, RefinementTrace).
     """
     kernel = semantics._Kernel([m, m2])
-    classes, removals, rounds = _refine(kernel, conditions)
-    trace = RefinementTrace(tuple(removals), rounds)
+    classes, trace = _refine(kernel, conditions)
     return kernel.cross_pairs(classes), trace
 
 
 def _refine(kernel: semantics._Kernel, conditions: ConditionSet,
             judge: bool = True):
     """The refinement of greatest_bisimulation on the places of a
-    kernel of one or two models, as (classes, removals, rounds):
-    classes[p] is the mask of place p's class at the fixpoint.  The
-    left side is the first model's places and the right side the
-    second's; a lone model is both sides.  With judge false no removed
-    pair is judged and removals stays empty.
+    kernel of one or two models, as (classes, trace): classes[p] is
+    the mask of place p's class at the fixpoint, and the trace holds
+    its rows over the kernel's places.  The left side is the first
+    model's places and the right side the second's; a lone model is
+    both sides.  With judge false no removed pair is judged and the
+    trace has no rows.
 
     Stage 0 groups the places by atom signature.  After it each class
     has a bit, and a place signs its successors' classes, relation by
@@ -387,7 +497,13 @@ def _refine(kernel: semantics._Kernel, conditions: ConditionSet,
     class inside a mixed class of the round before; so a round splits
     no class when it makes as many classes as there were mixed ones.
     A left place's partners are its class's right places, so a round's
-    removed pairs are judged before the classes are updated.
+    removed pairs are judged before the classes are updated.  A right
+    place meets each check only through its signature, so all right
+    places of one new class fail the same first check against a left
+    place; when that check is a zig, its unmatched transition is the
+    left place's and the same for all of them, so it is found once per
+    left place and new class.  A zag's transition is the right place's
+    own and is found pair by pair.
     """
     if (conditions.order_forth != conditions.order_back
             or conditions.dual_forth != conditions.dual_back):
@@ -402,42 +518,47 @@ def _refine(kernel: semantics._Kernel, conditions: ConditionSet,
     right = (1 << len(names)) - 1 ^ left if len(kernel.models) > 1 else left
     classes = [left | right] * len(names)
     bits = [0] * len(names)
+    slot_at: list = [None] * len(names)
     live, keys = range(len(names)), sig
-    removals: list[Removal] = []
+    rows: list[int] = []
     stage = rounds = mixed = 0
     while True:
         slots: dict[int, list[int]] = {}
-        mine: list[list[int]] = []
         for x, key in zip(live, keys):
             slot = slots.get(key)
             if slot is None:
                 slot = slots[key] = [0]
             slot[0] |= 1 << x
-            mine.append(slot)
+            slot_at[x] = slot
         if stage and len(slots) == mixed:
             break  # no class split, so the round removes no pair
-        for x, slot in zip(live, mine) if judge else ():
+        for x in live if judge else ():
             if x >= n:
                 break
-            gone = (classes[x] ^ slot[0]) & right
+            gone = (classes[x] ^ slot_at[x][0]) & right
+            # x's first failure against each new class, by its slot's
+            # id, whose places fail a zig first
+            zigs: dict[int, tuple[int, int]] = {}
             while gone:
                 low = gone & -gone
                 gone ^= low
                 j = low.bit_length() - 1
-                if stage:
-                    failure = _first_failure(checks, classes, names, x, j)
+                if not stage:
+                    differ = sig[x] ^ sig[j]
+                    rows += (x, j, 0, -1, (differ & -differ).bit_length() - 1)
+                    continue
+                failure = zigs.get(id(slot_at[j]))
+                if failure is None:
+                    failure = _first_failure(checks, classes, x, j)
                     if failure is None:
                         raise InternalCheckError(
                             f"pair ({names[x]}, {names[j]}) left the "
                             f"refinement in round {stage} but fails no "
                             "clause")
-                    _, clause, side, transition = failure
-                else:
-                    differ = sig[x] ^ sig[j]
-                    clause, side, transition = "atoms", "", (
-                        atoms[(differ & -differ).bit_length() - 1],)
-                removals.append(Removal((names[x], names[j]), stage,
-                                        clause, side, transition))
+                    if checks[failure[0]][1]:
+                        zigs[id(slot_at[j])] = failure
+                k, y = failure
+                rows += (x, j, stage, k, y)
         rounds = stage
         mixed = 0
         for slot in slots.values():
@@ -447,9 +568,8 @@ def _refine(kernel: semantics._Kernel, conditions: ConditionSet,
                 mixed += 1
             else:
                 slot.append(1 if c & left else 2)
-        for x, (c, b) in zip(live, mine):
-            classes[x] = c
-            bits[x] = b
+        for x in live:
+            classes[x], bits[x] = slot_at[x]
         live = [x for x in live if bits[x] > 2]
         if not live:
             break  # no class holds places of both sides
@@ -466,7 +586,8 @@ def _refine(kernel: semantics._Kernel, conditions: ConditionSet,
                     key |= bits[low.bit_length() - 1]
                     row ^= low
             keys.append(key)
-    return classes, removals, rounds
+    legend = (names, atoms, tuple((clause, zig) for clause, zig, _ in checks))
+    return classes, RefinementTrace._of_rows(rows, legend, rounds)
 
 
 def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
@@ -476,7 +597,7 @@ def bisimilarity_partition(m: Model, conditions: ConditionSet) -> Partition:
     the blocks of the model's refinement against itself, on half the
     places.  The fixpoint must come out an equivalence, which is
     checked on its rows; anything else is an internal bug."""
-    rows, _, _ = _refine(semantics._Kernel([m]), conditions, judge=False)
+    rows = _refine(semantics._Kernel([m]), conditions, judge=False)[0]
     for i, row in enumerate(rows):
         if not row >> i & 1:
             raise InternalCheckError(

@@ -70,11 +70,6 @@ def _add_fragment_flags(sub) -> None:
                      help="include the backward operators <| and |>")
 
 
-def _removal_dict(r: bisim_mod.Removal) -> dict:
-    return {"pair": r.pair, "stage": r.stage, "clause": r.clause,
-            "side": r.side, "transition": r.transition}
-
-
 _SAMPLE_SIZE = 50
 # A sampled formula's size grows exponentially with its depth: the
 # draw pools hold more binary connectives than leaves.
@@ -219,7 +214,10 @@ def run(args) -> int:
             pairs, trace = bisim_mod.greatest_bisimulation(left, right,
                                                            conditions)
             out = {"pairs": sorted(pairs), "rounds": trace.rounds,
-                   "removed": [_removal_dict(r) for r in trace.removals]}
+                   "removed": [{"pair": pair, "stage": stage, "clause": clause,
+                                "side": side, "transition": transition}
+                               for pair, stage, clause, side, transition
+                               in trace._fields()]}
             if args.seed is not None or args.depth is not None:
                 if args.seed is None or args.depth is None:
                     raise ToolError("--seed and --depth go together")

@@ -21,11 +21,12 @@ clause's diamond, true on the owner side.  T -> χ collapses to χ and
 χ -< F to χ, which keeps witnesses readable (and reproduces textbook
 separators like nested boxes over F).
 
-The replay reads each cover straight off the successor masks of the
-clause's table entry in semantics, the ones the refinement reads,
-walking its bits from low to high, which is sorted name order, and
-keeps each pair's witness in a slot addressed by the two state
-numbers; no successor map or name-keyed table is decoded.
+The replay reads each removal straight off the trace's rows of place
+numbers, and each cover off the successor masks of the clause's table
+entry in semantics, the ones the refinement reads, walking its bits
+from low to high, which is sorted name order, and keeps each pair's
+witness in a slot addressed by the two state numbers; no successor
+map, name-keyed table or Removal object is built.
 
 The argument that Φ -> Ψ behaves needs the cover to be closed upward,
 which is why synthesis insists on strictly condensed models whenever a
@@ -121,11 +122,13 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
     """Compute the greatest bisimulation for the fragment's clause set
     and a verified distinguishing formula for every discarded pair.
 
-    The trace is replayed in removal order.  A removal's cover is the
-    other side's successor mask for its clause, read from the model's
-    table, and its pairs with the transition's target are looked up in
-    state order, bit by bit from low to high; each witness is kept in
-    the slot i * len(m2.states) + j of its pair's state numbers.
+    The trace is replayed in removal order, straight from its rows of
+    place numbers; a trace built from Removal objects is encoded into
+    rows first.  A removal's cover is the other side's successor mask
+    for its clause, read from the model's table, and its pairs with
+    the transition's target are looked up in state order, bit by bit
+    from low to high; each witness is kept in the slot
+    i * len(m2.states) + j of its pair's state numbers.
 
     Returns (fixpoint relation, list of Witness in removal order).
     """
@@ -156,34 +159,39 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                     "the model first)")
 
     fixpoint, trace = greatest_bisimulation(m, m2, conditions)
-    # clause -> (shape, index, left successor masks, right ones)
-    clauses = {clause: (shape, index, semantics._succ_masks(m, shape, index),
-                        semantics._succ_masks(m2, shape, index))
-               for clause, _, shape, index in _resolved(conditions, m, m2)}
+    # check index -> (clause, shape, index, zig, left successor masks,
+    # right ones)
+    checks = [(clause, shape, index, direction == "zig",
+               semantics._succ_masks(m, shape, index),
+               semantics._succ_masks(m2, shape, index))
+              for clause, direction, shape, index
+              in _resolved(conditions, m, m2)]
+    rows, atoms = trace._rows_on(m, m2, tuple(
+        (clause, zig) for clause, _, _, zig, _, _ in checks))
     states, states2 = m.states, m2.states
-    index1, index2 = m._index, m2._index
-    n2 = len(states2)
-    slots: list[Witness | None] = [None] * (len(states) * n2)
+    n, n2 = len(states), len(states2)
+    slots: list[Witness | None] = [None] * (n * n2)
     out: list[Witness] = []
 
-    for removal in trace.removals:
-        x, x2 = removal.pair
-        if removal.clause == "atoms":
-            atom = removal.transition[0]
+    for a, b, stage, k, t in zip(*[iter(rows)] * 5):
+        b -= n
+        x, x2 = states[a], states2[b]
+        if k < 0:
+            clause, atom = "atoms", atoms[t]
             formula: Formula = Atom(atom)
             orientation = ("left" if x in m.valuation.get(atom, _EMPTY)
                            else "right")
         else:
-            shape, index, succ, succ2 = clauses[removal.clause]
-            owner = removal.side
-            t = removal.transition[1]
-            # the other side's cover, walked in state (sorted name) order
-            if owner == "left":
-                cover = succ2[index2[x2]]
-                base, step = index1[t] * n2, 1
+            clause, shape, index, zig, succ, succ2 = checks[k]
+            # the other side's cover, walked in state (sorted name)
+            # order; the target t is a place of the owner's side
+            if zig:
+                owner, cover = "left", succ2[b]
+                base, step = t * n2, 1
             else:
-                cover = succ[index1[x]]
-                base, step = index2[t], n2
+                owner, cover = "right", succ[a]
+                t -= n
+                base, step = t, n2
             true_at_t: list[Formula] = []
             true_at_cover: list[Formula] = []
             while cover:
@@ -192,11 +200,11 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                 c = low.bit_length() - 1
                 w = slots[base + c * step]
                 if w is None:
-                    pair = ((t, states2[c]) if owner == "left"
-                            else (states[c], t))
+                    pair = ((states[t], states2[c]) if zig
+                            else (states[c], states2[t]))
                     raise InternalCheckError(
                         f"trace replay hit pair {pair} with no witness "
-                        f"while handling {removal.pair}")
+                        f"while handling {(x, x2)}")
                 if w.orientation == owner:
                     true_at_t.append(w.formula)
                 else:
@@ -205,7 +213,7 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
             psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), Bot())
             if shape in ("imp", "box", "tbox"):
                 core = psi if isinstance(phi, Top) else Imp(phi, psi)
-                orientation = "right" if owner == "left" else "left"
+                orientation = "right" if zig else "left"
             else:
                 core = phi if isinstance(psi, Bot) else Sub(phi, psi)
                 orientation = owner
@@ -217,10 +225,10 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
         want = (True, False) if orientation == "left" else (False, True)
         if (holds_left, holds_right) != want:
             raise InternalCheckError(
-                f"synthesized witness for {removal.pair} does not separate "
-                f"(clause {removal.clause}): {formula}")
-        witness = Witness(removal.pair, formula, orientation, removal.stage)
-        slots[index1[x] * n2 + index2[x2]] = witness
+                f"synthesized witness for {(x, x2)} does not separate "
+                f"(clause {clause}): {formula}")
+        witness = Witness((x, x2), formula, orientation, stage)
+        slots[a * n2 + b] = witness
         out.append(witness)
     return fixpoint, out
 
