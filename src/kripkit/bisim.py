@@ -378,11 +378,7 @@ class RefinementTrace:
 
     def _fields(self) -> Iterator[tuple]:
         """Each removal's (pair, stage, clause, side, transition), in
-        removal order, decoded from the rows when the trace has them."""
-        if self._rows is None:
-            for r in self._removals:
-                yield r.pair, r.stage, r.clause, r.side, r.transition
-            return
+        removal order, decoded from the rows."""
         names, atoms, clauses = self._legend
         for a, b, stage, k, t in zip(*[iter(self._rows)] * 5):
             if k < 0:
@@ -392,6 +388,12 @@ class RefinementTrace:
             yield ((names[a], names[b]), stage, clause,
                    "left" if zig else "right",
                    (names[a if zig else b], names[t]))
+
+    def _table(self) -> tuple[list[int], tuple]:
+        """The rows and their legend (names, atoms, clauses) of a trace
+        greatest_bisimulation returned, which the bisim verb writes
+        row by row."""
+        return self._rows, self._legend
 
     def _rows_on(self, m: Model, m2: Model,
                  clauses: tuple) -> tuple[list[int], list[str]]:

@@ -5,11 +5,15 @@ stdout (or --output), and keeps the byte stream deterministic: state
 lists are sorted, and the bytes are exactly those of
 json.dumps(obj, indent=2, sort_keys=True) + "\\n", that is sorted keys,
 a two-space indent and ASCII only, with \\u escapes for the rest
-(model._dumps writes them).  Exit status 0 means the verb ran; 1 means
-a domain error (bad model file, wrong flavor, failed precondition),
-reported on stderr; argparse itself exits 2 on usage errors.  hm-check
-is the exception worth knowing: it exits 0 only when the
-Hennessy-Milner property held, 1 when it did not.
+(model._dumps writes them).  The long lists, bisim's removed and the
+witnesses of equiv and hm-check, are written row by row: each row is
+one % of a fixed template that model._row_template lays out, filled
+with cells quoted once each (a state name, an atom, a formula's text),
+so no dict is built per removal or witness.  Exit status 0 means the
+verb ran; 1 means a domain error (bad model file, wrong flavor, failed
+precondition), reported on stderr; argparse itself exits 2 on usage
+errors.  hm-check is the exception worth knowing: it exits 0 only when
+the Hennessy-Milner property held, 1 when it did not.
 """
 
 from __future__ import annotations
@@ -23,9 +27,10 @@ import sys
 from . import bisim as bisim_mod
 from . import distinguish, genframe, sampling, semantics
 from .errors import ToolError
-from .formula import Fragment, parse, translate
-from .model import (FLAVORS, Model, _dumps, build_example, dualize,
-                    load_model, model_to_dict, quotient, read_json, strictify)
+from .formula import Fragment, parse, to_string, translate
+from .model import (_CELL, FLAVORS, Model, _dumps, _quote, _row_template,
+                    _Rows, build_example, dualize, load_model, model_to_dict,
+                    quotient, read_json, strictify)
 
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
 
@@ -37,6 +42,58 @@ def _emit(obj, output: str | None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+# Where the members of a list under a key of the output object start.
+_ROW = "\n    "
+
+
+def _removed(trace: bisim_mod.RefinementTrace) -> _Rows:
+    """bisim's removed list, one row per row of the trace, with each
+    place's name, each atom and each check's clause and side quoted
+    once."""
+    rows, (names, atoms, clauses) = trace._table()
+    quoted, atoms = list(map(_quote, names)), list(map(_quote, atoms))
+    pair = [_CELL, _CELL]
+    atom_row = _row_template({"pair": pair, "stage": _CELL, "clause": "atoms",
+                              "side": "", "transition": [_CELL]}, _ROW)
+    checks = [(_row_template({"pair": pair, "stage": _CELL, "clause": clause,
+                              "side": "left" if zig else "right",
+                              "transition": pair}, _ROW), zig)
+              for clause, zig in clauses]
+    out = []
+    for a, b, stage, k, t in zip(*[iter(rows)] * 5):
+        if k < 0:
+            out.append(atom_row % (quoted[a], quoted[b], stage, atoms[t]))
+        else:
+            row, zig = checks[k]
+            out.append(row % (quoted[a], quoted[b], stage,
+                              quoted[a if zig else b], quoted[t]))
+    return _Rows(out, _ROW)
+
+
+def _witnesses(witnesses, left: Model, right: Model) -> _Rows:
+    """The witnesses list of equiv and hm-check, one row per witness,
+    with each state name and each distinct formula's text quoted
+    once."""
+    quoted = {x: _quote(x) for x in left.states + right.states}
+    texts: dict[int, str] = {}
+    templates = {side: _row_template({"pair": [_CELL, _CELL],
+                                      "formula": _CELL, "orientation": side,
+                                      "stage": _CELL}, _ROW)
+                 for side in ("left", "right")}
+    out = []
+    for w in witnesses:
+        # keyed by id: a formula's __hash__ is a Python call, and the
+        # witnesses keep every formula alive
+        f = w.formula
+        text = texts.get(id(f))
+        if text is None:
+            text = texts[id(f)] = _quote(to_string(f))
+        x, x2 = w.pair
+        out.append(templates[w.orientation]
+                   % (text, quoted[x], quoted[x2], w.stage))
+    return _Rows(out, _ROW)
 
 
 def _fragment(args) -> Fragment:
@@ -211,14 +268,11 @@ def run(args) -> int:
         if args.verb == "bisim":
             bisim_mod._check_counts(frag, left, right)
             conditions = bisim_mod.conditions_for(frag, left.flavor)
-            pairs, trace = bisim_mod.greatest_bisimulation(left, right,
-                                                           conditions)
-            out = {"pairs": sorted(pairs), "rounds": trace.rounds,
-                   "removed": [{"pair": pair, "stage": stage, "clause": clause,
-                                "side": side, "transition": transition}
-                               for pair, stage, clause, side, transition
-                               in trace._fields()]}
-            if args.seed is not None or args.depth is not None:
+            # the clauses resolve before the refinement, so their errors
+            # still come before a usage error in --seed or --depth
+            bisim_mod._resolved(conditions, left, right)
+            sample = args.seed is not None or args.depth is not None
+            if sample:
                 if args.seed is None or args.depth is None:
                     raise ToolError("--seed and --depth go together")
                 if args.depth < 0:
@@ -226,6 +280,11 @@ def run(args) -> int:
                 if args.depth > _MAX_SAMPLE_DEPTH:
                     raise ToolError(f"--depth must be <= {_MAX_SAMPLE_DEPTH}, "
                                     f"got {args.depth}")
+            pairs, trace = bisim_mod.greatest_bisimulation(left, right,
+                                                           conditions)
+            out = {"pairs": sorted(pairs), "rounds": trace.rounds,
+                   "removed": _removed(trace)}
+            if sample:
                 out["sample"] = _soundness_sample(left, right, frag, pairs,
                                                   args.seed, args.depth)
             _emit(out, args.output)
@@ -233,7 +292,7 @@ def run(args) -> int:
         if args.verb == "equiv":
             pairs, witnesses = distinguish.synthesize(left, right, frag)
             _emit({"pairs": sorted(pairs),
-                   "witnesses": [w.to_dict() for w in witnesses]},
+                   "witnesses": _witnesses(witnesses, left, right)},
                   args.output)
             return 0
         if args.verb == "oracle":
@@ -247,7 +306,7 @@ def run(args) -> int:
                "fixpoint": sorted(report.fixpoint),
                "oracle": sorted(report.oracle),
                "oracle_exact": report.oracle_exact,
-               "witnesses": [w.to_dict() for w in report.witnesses],
+               "witnesses": _witnesses(report.witnesses, left, right),
                "problems": list(report.problems)}, args.output)
         return 0 if report.passed else 1
 

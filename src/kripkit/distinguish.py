@@ -26,7 +26,12 @@ numbers, and each cover off the successor masks of the clause's table
 entry in semantics, the ones the refinement reads, walking its bits
 from low to high, which is sorted name order, and keeps each pair's
 witness in a slot addressed by the two state numbers; no successor
-map, name-keyed table or Removal object is built.
+map, name-keyed table or Removal object is built.  Most covers collect
+no earlier witness on one side or both; an empty side is T for Φ or F
+for Ψ at once, one Top and one Bot per replay, with no truth set
+looked up.  The CLI writes the witnesses row by row from their
+attributes, each distinct formula printed once; Witness.to_dict is
+the dict form for other callers.
 
 The argument that Φ -> Ψ behaves needs the cover to be closed upward,
 which is why synthesis insists on strictly condensed models whenever a
@@ -101,12 +106,6 @@ def _dedup_and_sort(formulas, m: Model, m2: Model) -> list[Formula]:
     return [f for _, f in sorted(best.values(), key=lambda pair: pair[0])]
 
 
-def _fold(combine, items: list[Formula], empty: Formula) -> Formula:
-    if not items:
-        return empty
-    return reduce(combine, items)
-
-
 def _check_witnessable(conditions: ConditionSet, frag: Fragment) -> None:
     if (conditions.boxes or conditions.tboxes) and frag.base == "intdual":
         raise PreconditionError(
@@ -172,6 +171,7 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
     n, n2 = len(states), len(states2)
     slots: list[Witness | None] = [None] * (n * n2)
     out: list[Witness] = []
+    top, bot = Top(), Bot()
 
     for a, b, stage, k, t in zip(*[iter(rows)] * 5):
         b -= n
@@ -209,13 +209,16 @@ def synthesize(m: Model, m2: Model, frag: Fragment):
                     true_at_t.append(w.formula)
                 else:
                     true_at_cover.append(w.formula)
-            phi = _fold(And, _dedup_and_sort(true_at_t, m, m2), Top())
-            psi = _fold(Or, _dedup_and_sort(true_at_cover, m, m2), Bot())
+            # most covers collect nothing on one side
+            phi = (reduce(And, _dedup_and_sort(true_at_t, m, m2))
+                   if true_at_t else top)
+            psi = (reduce(Or, _dedup_and_sort(true_at_cover, m, m2))
+                   if true_at_cover else bot)
             if shape in ("imp", "box", "tbox"):
-                core = psi if isinstance(phi, Top) else Imp(phi, psi)
+                core = psi if phi is top else Imp(phi, psi)
                 orientation = "right" if zig else "left"
             else:
-                core = phi if isinstance(psi, Bot) else Sub(phi, psi)
+                core = phi if psi is bot else Sub(phi, psi)
                 orientation = owner
             formula = (_MODAL_SHAPE[shape](index, core)
                        if shape in _MODAL_SHAPE else core)

@@ -803,9 +803,40 @@ def _dumps(obj) -> str:
     An indent makes json.dumps fall back from its C encoder to a pure
     Python one.  This writer keeps the escaping in C
     (encode_basestring_ascii) and writes a list of like members a
-    column at a time (_members).  A dict key that is not a str raises
+    column at a time (_members).  A _Rows list holds members already
+    written: the CLI writes its long lists of removals and witnesses
+    row by row, each row one % of a template that _row_template builds
+    with this writer's own layout.  A dict key that is not a str raises
     TypeError, where json.dumps would convert some."""
     return _encode(obj, "\n") + "\n"
+
+
+class _Rows(list):
+    """Members of a JSON list already written as text, each starting on
+    the line `newline` (the line break and indent of its first line),
+    which _encode joins as they stand."""
+
+    __slots__ = ("newline",)
+
+    def __init__(self, rows: Iterable[str], newline: str):
+        super().__init__(rows)
+        self.newline = newline
+
+
+# A cell of a placeholder row: _encode writes it as "\u0000", which no
+# other text of a template holds as long as its keys and fixed values
+# hold no NUL.
+_CELL = "\x00"
+
+
+def _row_template(row: dict, newline: str) -> str:
+    """_encode(row, newline) as a %-template: a %s for each _CELL value,
+    in the order _encode writes them (sorted keys, list members in
+    order), with every other % doubled, so keys and fixed values come
+    out as they stand.  The cells a template is filled with go in
+    untouched: strings already quoted, or plain ints."""
+    return (_encode(row, newline).replace("%", "%%")
+            .replace(_quote(_CELL), "%s"))
 
 
 def _encode(value, newline: str) -> str:
@@ -831,8 +862,13 @@ def _encode(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join(_members(value, inner))
-                + newline + "]")
+        if kind is _Rows:
+            if value.newline != inner:
+                raise ValueError("rows written for another indent")
+            members = value
+        else:
+            members = _members(value, inner)
+        return "[" + inner + ("," + inner).join(members) + newline + "]"
     # floats and the rest are scalars to json.dumps, which writes a
     # scalar the same at every indent
     return json.dumps(value)
@@ -842,8 +878,8 @@ def _members(values, newline: str) -> list[str]:
     """_encode of each member of a nonempty list, with fast paths for
     the shapes the CLI writes: all strings, all plain ints, all
     nonempty lists of strings (state pairs), and dicts that all have
-    the same keys (removals, witnesses), which are written a column at
-    a time."""
+    the same keys (violations, sample disagreements), which are written
+    a column at a time."""
     kind = type(values[0])
     if kind is str:
         try:

@@ -220,6 +220,48 @@ def test_bisim_rejects_a_depth_above_the_ceiling(capsys, wedge_path,
     assert data["sample"]["formulas"] == 50
 
 
+def test_bisim_checks_the_sample_flags_before_the_refinement(
+        capsys, monkeypatch, wedge_path, strict_path):
+    # a usage error on a deep pair must not pay for the refinement first
+    def refinement(*args):
+        raise AssertionError("the refinement ran")
+
+    monkeypatch.setattr(kripkit.bisim, "greatest_bisimulation", refinement)
+    pair = ["bisim", "--left", wedge_path, "--right", strict_path]
+    for flags, message in (
+            (["--seed", "1"], "--seed and --depth go together"),
+            (["--depth", "2"], "--seed and --depth go together"),
+            (["--seed", "1", "--depth", "-1"], "--depth must be >= 0, got -1"),
+            (["--seed", "1", "--depth", "21"],
+             "--depth must be <= 20, got 21")):
+        assert main(pair + ["--fragment", "int"] + flags) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_bisim_reports_model_errors_before_sample_flag_errors(
+        capsys, wedge_path, strict_path, tmp_path):
+    # the order of these errors is the order they had when the sample
+    # flags were checked after the refinement
+    pair = ["bisim", "--left", wedge_path, "--right", strict_path]
+    data = json.loads(Path(strict_path).read_text())
+    data["flavor"] = "fs"
+    fs_path = tmp_path / "fs.json"
+    fs_path.write_text(json.dumps(data))
+    bad = ["--seed", "1", "--depth", "-1"]
+    for argv, message in (
+            (["bisim", "--left", wedge_path, "--right", str(tmp_path / "no"),
+              "--fragment", "int"], "No such file"),
+            (pair + ["--fragment", "int", "--boxes", "2"],
+             "clause needs box relation 2 but the model stores 1"),
+            (pair + ["--fragment", "biint", "--tense"],
+             "standard models do not interpret backward modalities"),
+            (["bisim", "--left", wedge_path, "--right", str(fs_path),
+              "--fragment", "int", "--boxes", "1"],
+             "models have different flavors: 'standard' vs 'fs'")):
+        assert_one_line_error(capsys, argv + bad, message)
+
+
 def test_undecodable_and_over_nested_json_are_one_line_errors(
         capsys, tmp_path, wedge_path):
     # each of these used to end in UnicodeDecodeError or RecursionError

@@ -12,6 +12,7 @@ trace that lost a removal name the same missing pair.
 
 import random
 import sys
+from functools import reduce
 
 import pytest
 
@@ -20,12 +21,19 @@ from kripkit import bisim, distinguish, semantics
 from kripkit.bisim import (_check_counts, conditions_for,
                            greatest_bisimulation)
 from kripkit.distinguish import (_EMPTY, _MODAL_SHAPE, Witness,
-                                 _check_witnessable, _dedup_and_sort, _fold)
+                                 _check_witnessable, _dedup_and_sort)
 from kripkit.errors import InternalCheckError, PreconditionError, ToolError
 from kripkit.formula import And, Atom, Bot, Formula, Imp, Or, Sub, Top
 from kripkit.model import Model, require_valid
 from kripkit.sampling import random_model
 from test_refinement_reference import resolved_tasks
+
+
+def _fold(combine, items: list[Formula], empty: Formula) -> Formula:
+    # the helper the replay used, kept here with it
+    if not items:
+        return empty
+    return reduce(combine, items)
 
 
 def reference_synthesize(m: Model, m2: Model, frag: Fragment):
