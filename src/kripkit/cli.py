@@ -19,6 +19,7 @@ the Hennessy-Milner property held, 1 when it did not.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import re
@@ -35,13 +36,18 @@ from .model import (_CELL, FLAVORS, Model, _dumps, _quote, _row_template,
 _EXAMPLE_NAME = re.compile(r"([a-z_]+)(?:\((\d+)\))?\Z")
 
 
+# A text stream encodes all it is handed at once, so the text goes out
+# this many characters at a time rather than held twice, as str and as
+# bytes.
+_SLICE = 1 << 20
+
+
 def _emit(obj, output: str | None) -> None:
     text = _dumps(obj)
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with (open(output, "w", encoding="utf-8") if output
+          else contextlib.nullcontext(sys.stdout)) as fh:
+        for start in range(0, len(text), _SLICE):
+            fh.write(text[start:start + _SLICE])
 
 
 # Where the members of a list under a key of the output object start.

@@ -14,11 +14,14 @@ Concrete syntax, binding tightest first:
     a -< b            subtraction (co-implication), left associative
 
 The two arrows bind equally weakly; a chain that mixes them without
-parentheses is rejected instead of silently picking a reading.  The
-tokenizer reads every symbol above from one token table: _TOKENS2
-holds the two-character tokens, tried first, and _TOKENS1 the
-one-character ones.  The printer takes its modal symbols from the same
-table.
+parentheses is rejected instead of silently picking a reading.
+
+`parse` lists the tokens with one compiled regex, scanned in C, and
+reads them in one loop without recursion: it shifts each token and
+builds a node as soon as its operands are read, an open parenthesis
+stacking the state of the formula around it.  A malformed token
+anywhere is reported before any syntax error.  The printer takes its
+modal symbols from the scanner's table, _MODAL.
 `parse` and `to_string` round-trip: printing inserts exactly the
 parentheses needed to reparse to the same tree.  `parse` rejects
 formulas nested more than MAX_DEPTH levels deep, or inside more than
@@ -29,7 +32,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import FrozenInstanceError, dataclass, fields
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 from weakref import ref
 
 from .errors import FragmentError, ParseError
@@ -193,209 +196,179 @@ class TBox(_Modal): """Backward box |>j: looks against diamond relation j."""
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Scanner
 
-# Token kinds by spelling.  Two-character tokens are tried first, so
-# "|>" wins over "|"; a modal kind is the node class it builds, and a
-# relation index follows it.
-_TOKENS2 = {"->": "IMP", "-<": "SUB", "-.": "CONEG",
-            "[]": Box, "<>": Dia, "<|": TDia, "|>": TBox}
-_TOKENS1 = {"(": "LPAREN", ")": "RPAREN", "&": "AND", "|": "OR",
-            "~": "NEG", "T": "TOP", "F": "BOT", "C": "CK"}
-# Characters that only start two-character tokens.
+# The modal operators, each the node class it builds; a relation index
+# follows the symbol.
+_MODAL = {"[]": Box, "<>": Dia, "<|": TDia, "|>": TBox}
+_MODAL_SYMBOL = {kind: text for text, kind in _MODAL.items()}
+# The other symbols; any other character the scan takes on its own is
+# malformed, and these three only start two-character symbols.
+_SYMBOLS = {"(", ")", "&", "|", "->", "-<", "-.", "~", "T", "F", "C"}
 _LONE = {"-": "lone '-': expected ->, -< or -.",
          "[": "'[' must start a box operator []",
          "<": "'<' must start <> or <|"}
-# Testing a character against this set first spares most characters a
-# slice; without it the tokenizer took about 28% longer.
-_FIRST2 = {text[0] for text in _TOKENS2}
-_MODAL_SYMBOL = {kind: text for text, kind in _TOKENS2.items()
-                 if isinstance(kind, type)}
 
-_ATOM_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
-_INT_RE = re.compile(r"[0-9]+")
-
-# (kind, value, position) triples
-_Token = tuple[object, object, int]
+# One token and the whitespace after it, as the groups (atom, modal
+# symbol, index digits, other symbol), one of which is nonempty.  A
+# modal symbol is tried before "|" and "<", and every non-space
+# character matches, so the tokens cover the text.  Leading whitespace
+# fails to match one character at a time; whitespace led by \s* would
+# be retried from every position of a trailing run.
+_TOKEN = re.compile(r"(?:([a-z][a-zA-Z0-9_]*)|(\[\]|<>|<\||\|>)([0-9]*)"
+                    r"|(->|-<|-\.|\S))\s*")
 
 
-def _read_index(text: str, op_end: int) -> tuple[int, int]:
-    m = _INT_RE.match(text, op_end)
-    if not m:
-        raise ParseError("expected a relation index after modal operator", op_end)
-    try:
-        index = int(m.group())
-    except ValueError:  # more digits than int() converts
-        raise ParseError("relation index is too long", op_end) from None
-    if index < 1:
-        raise ParseError("relation index must be at least 1", op_end)
-    return index, m.end()
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+def _fail(text: str, k: int, message: str = "",
+          at: int | None = None) -> NoReturn:
+    """Raise the first malformed token from the k-th on, if any, since
+    malformed tokens come before syntax errors; else ParseError(message)
+    at token `at`, by default the k-th, or at the end of text when there
+    is no such token.  Offsets are found here: parse's scan keeps none."""
+    offset, at = len(text), k if at is None else at
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == at:
+            offset = m.start()
+        _, modal, digits, sym = m.groups()
+        if i < k:
             continue
-        kind = _TOKENS2.get(text[i:i + 2]) if c in _FIRST2 else None
-        if kind is not None:
-            if kind in _MODAL_SYMBOL:
-                index, end = _read_index(text, i + 2)
-                tokens.append((kind, index, i))
-                i = end
-            else:
-                tokens.append((kind, None, i))
-                i += 2
-        elif (kind := _TOKENS1.get(c)) is not None:
-            tokens.append((kind, None, i))
-            i += 1
-        elif c in _LONE:
-            raise ParseError(_LONE[c], i)
-        else:
-            m = _ATOM_RE.match(text, i)
-            if not m:
-                raise ParseError(f"unexpected character {c!r}", i)
-            tokens.append(("ATOM", m.group(), i))
-            i = m.end()
-    return tokens
+        if sym and sym not in _SYMBOLS:
+            raise ParseError(_LONE.get(sym, f"unexpected character {sym!r}"),
+                             m.start())
+        if modal and not digits:
+            raise ParseError("expected a relation index after modal operator",
+                             m.start() + 2)
+        try:
+            if modal and int(digits) < 1:
+                raise ParseError("relation index must be at least 1",
+                                 m.start() + 2)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("relation index is too long",
+                             m.start() + 2) from None
+    raise ParseError(message, offset)
 
 
 # ---------------------------------------------------------------------------
-# Parser: recursive descent that recurses only into parentheses.
+# Parser: one loop over the tokens with an explicit stack.
 
 # The deepest formula parse accepts: at most this many edges from the
 # root to a leaf, and at most this many nested parentheses.  Parsing
-# recurses twice per parenthesis and truth_set once per level (a chain
-# of boxes evaluates to about 996 levels), against the default
-# recursion limit of 1000.  Hashing and comparing visit one node, since
-# a node stores its hash and equal nodes are one object; printing,
-# translating and the structural measures walk with a stack.  300
-# leaves room for a caller's stack some 60 frames deep, and 150 levels
-# of "[]1 (...) & q" are 300 deep.
+# keeps its open parentheses on a list and does not recurse; the cap
+# guards truth_set, which recurses once per level (a chain of boxes
+# evaluates to about 996 levels) against the default recursion limit
+# of 1000.  Hashing and comparing visit one node, since a node stores
+# its hash and equal nodes are one object; printing, translating and
+# the structural measures walk with a stack.  300 leaves room for a
+# caller's stack some 60 frames deep, and 150 levels of "[]1 (...) & q"
+# are 300 deep.
 MAX_DEPTH = 300
 
-# Prefix operators: token kind -> node built around the operand.  A
-# modal kind is its own node class.
-_PREFIX = {
-    **{kind: kind for kind in _MODAL_SYMBOL},
-    "NEG": lambda _, f: Imp(f, Bot()),
-    "CONEG": lambda _, f: Sub(Top(), f),
-    "CK": lambda _, f: Ck(f),
-}
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], length: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.length = length
-        self.parens = 0
-
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def formula(self) -> Formula:
-        """An arrow chain of disjunctions of conjunctions of operands."""
-        items = []
-        kinds: list[tuple[str, int]] = []
-        while True:
-            disjunction, acc = None, self.operand()
-            while (tok := self.peek()) is not None and tok[0] in ("AND", "OR"):
-                self.pos += 1
-                if tok[0] == "AND":
-                    acc = And(acc, self.operand())
-                else:
-                    disjunction = (acc if disjunction is None
-                                   else Or(disjunction, acc))
-                    acc = self.operand()
-            items.append(acc if disjunction is None else Or(disjunction, acc))
-            if tok is None or tok[0] not in ("IMP", "SUB"):
-                break
-            self.pos += 1
-            kinds.append((tok[0], tok[2]))
-        if not kinds:
-            return items[0]
-        for kind, at in kinds:
-            if kind != kinds[0][0]:
-                raise ParseError("mixing -> and -< needs parentheses", at)
-        if kinds[0][0] == "IMP":
-            acc = items[-1]
-            for item in reversed(items[:-1]):
-                acc = Imp(item, acc)
-            return acc
-        acc = items[0]
-        for item in items[1:]:
-            acc = Sub(acc, item)
-        return acc
-
-    def operand(self) -> Formula:
-        """Prefix operators applied to an atom, a constant or a
-        parenthesised formula."""
-        prefixes = []
-        while (tok := self.peek()) is not None and tok[0] in _PREFIX:
-            self.pos += 1
-            prefixes.append(tok)
-        if tok is None:
-            raise ParseError("unexpected end of input", self.length)
-        kind, value, at = tok
-        self.pos += 1
-        if kind == "ATOM":
-            f: Formula = Atom(value)
-        elif kind == "TOP":
-            f = Top()
-        elif kind == "BOT":
-            f = Bot()
-        elif kind == "LPAREN":
-            self.parens += 1
-            if self.parens > MAX_DEPTH:
-                raise ParseError(f"parentheses nest more than {MAX_DEPTH} "
-                                 "deep", at)
-            f = self.formula()
-            self.parens -= 1
-            closing = self.peek()
-            if closing is None or closing[0] != "RPAREN":
-                raise ParseError("expected ')'",
-                                 self.length if closing is None else closing[2])
-            self.pos += 1
-        else:
-            raise ParseError("expected a formula here", at)
-        for kind, value, _ in reversed(prefixes):
-            f = _PREFIX[kind](value, f)
-        return f
-
-
-def _height(f: Formula) -> int:
-    """Edges on the longest path from f down to a leaf, found level by
-    level without recursion.  Fields are read by name: vars() would
-    give every node a __dict__ of its own, which slows each later
-    attribute read and hash."""
-    level, height = [f], -1
-    while level:
-        height += 1
-        level = [child for g in level for child in (
-            (g.left, g.right) if isinstance(g, _Binary) else
-            () if isinstance(g, (Atom, _Const)) else (g.body,))]
-    return height
+# Prefix operators other than the modal ones: symbol -> node built
+# around the operand, called as a modal class is, (index, operand).
+_PREFIX = {"~": lambda _, f: Imp(f, Bot()),
+           "-.": lambda _, f: Sub(Top(), f),
+           "C": lambda _, f: Ck(f)}
 
 
 def parse(text: str) -> Formula:
-    """Parse concrete syntax into a formula tree.
+    """Parse concrete syntax into a formula tree: one regex scan, then
+    one loop over its tokens that builds each node once its operands
+    are read and stacks the state of each open parenthesis.
 
     :raises ParseError: on malformed input, with the offending offset,
         and on formulas nested more than MAX_DEPTH deep.
     """
-    parser = _Parser(_tokenize(text), len(text))
-    result = parser.formula()
-    if (tok := parser.peek()) is not None:
-        raise ParseError("unexpected trailing input", tok[2])
-    # a formula is never deeper than its count of operator tokens
-    if len(parser.tokens) > MAX_DEPTH and _height(result) > MAX_DEPTH:
+    tokens = _TOKEN.findall(text)
+    end = len(tokens)
+    tokens.append(("", "", "", ""))  # ends the formula like a token
+    # The formula being read: the operands of its arrow chain so far,
+    # (node, height) pairs, and the arrows between them, (symbol, token
+    # number) pairs; the prefix operators, (builder, index), of the
+    # operand to come; the current operand's disjunction and
+    # conjunction so far, with their heights.  "(" stacks them.
+    items, arrows, prefixes, disj, dh, conj, ch = [], [], [], None, 0, None, 0
+    stack, operand = [], True  # operand: whether an operand comes next
+    for k, (atom, modal, digits, sym) in enumerate(tokens):
+        if operand:
+            if atom:
+                f, h = Atom(atom), 0
+            elif modal:
+                try:
+                    index = int(digits)
+                except ValueError:
+                    index = 0
+                if index < 1:
+                    _fail(text, k)
+                prefixes.append((_MODAL[modal], index))
+                continue
+            elif sym == "(":
+                if len(stack) == MAX_DEPTH:
+                    _fail(text, k,
+                          f"parentheses nest more than {MAX_DEPTH} deep")
+                stack.append((items, arrows, prefixes, disj, dh, conj, ch))
+                items, arrows, prefixes, disj, conj = [], [], [], None, None
+                continue
+            elif sym in _PREFIX:
+                prefixes.append((_PREFIX[sym], None))
+                continue
+            elif sym == "T" or sym == "F":
+                f, h = Top() if sym == "T" else Bot(), 0
+            else:
+                _fail(text, k, "expected a formula here" if k < end
+                      else "unexpected end of input")
+        elif sym == "&":
+            operand = True
+            continue
+        elif sym == "|":
+            disj, dh = ((conj, ch) if disj is None else
+                        (Or(disj, conj), max(dh, ch) + 1))
+            conj, operand = None, True
+            continue
+        else:
+            f, h = conj, ch
+            if disj is not None:
+                f, h = Or(disj, f), max(dh, h) + 1
+            if sym == "->" or sym == "-<":
+                items.append((f, h))
+                arrows.append((sym, k))
+                disj, conj, operand = None, None, True
+                continue
+            # token k ends the innermost parenthesis, or the formula
+            if arrows:
+                first = arrows[0][0]
+                mixed = [at for arrow, at in arrows if arrow != first]
+                if mixed:
+                    _fail(text, k, "mixing -> and -< needs parentheses",
+                          mixed[0])
+                # -> groups to the right, -< to the left
+                items.append((f, h))
+                if first == "->":
+                    items.reverse()
+                f, h = items[0]
+                for g, gh in items[1:]:
+                    f = Imp(g, f) if first == "->" else Sub(f, g)
+                    h = max(h, gh) + 1
+            if k == end and not stack:
+                break
+            if sym != ")" or not stack:
+                _fail(text, k, "expected ')'" if stack
+                      else "unexpected trailing input")
+            items, arrows, prefixes, disj, dh, conj, ch = stack.pop()
+        # an operand ends here
+        if prefixes:
+            for build, index in reversed(prefixes):
+                f = build(index, f)
+            h += len(prefixes)
+            prefixes.clear()
+        if conj is None:
+            conj, ch = f, h
+        else:
+            conj, ch = And(conj, f), (ch if ch > h else h) + 1
+        operand = False
+    if h > MAX_DEPTH:
         raise ParseError(f"formula nests more than {MAX_DEPTH} levels deep",
                          0)
-    return result
+    return f
 
 
 # ---------------------------------------------------------------------------

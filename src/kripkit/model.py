@@ -806,9 +806,15 @@ def _dumps(obj) -> str:
     column at a time (_members).  A _Rows list holds members already
     written: the CLI writes its long lists of removals and witnesses
     row by row, each row one % of a template that _row_template builds
-    with this writer's own layout.  A dict key that is not a str raises
-    TypeError, where json.dumps would convert some."""
-    return _encode(obj, "\n") + "\n"
+    with this writer's own layout.  The pieces go into one flat list
+    (_write) that is joined once, so the text is held once, beside its
+    rows, and not copied again at each level that encloses them.  A
+    dict key that is not a str raises TypeError, where json.dumps would
+    convert some."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 class _Rows(list):
@@ -842,25 +848,37 @@ def _row_template(row: dict, newline: str) -> str:
 def _encode(value, newline: str) -> str:
     """value as json.dumps writes it at indent 2, where newline is the
     line break plus the indent of the line value starts on."""
+    out: list[str] = []
+    _write(value, newline, out)
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the pieces of _encode(value, newline) to out."""
     kind = type(value)
     if kind is str:
-        return _quote(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    if isinstance(value, dict):
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif isinstance(value, dict):
         if not value:
-            return "{}"
+            out.append("{}")
+            return
         inner = newline + "  "
-        return ("{" + inner + ("," + inner).join(
-            [_quote(key) + ": " + _encode(value[key], inner)
-             for key in sorted(value)]) + newline + "}")
-    if isinstance(value, (list, tuple)):
+        sep = "{" + inner
+        for key in sorted(value):
+            out += (sep, _quote(key), ": ")
+            _write(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
         if not value:
-            return "[]"
+            out.append("[]")
+            return
         inner = newline + "  "
         if kind is _Rows:
             if value.newline != inner:
@@ -868,10 +886,16 @@ def _encode(value, newline: str) -> str:
             members = value
         else:
             members = _members(value, inner)
-        return "[" + inner + ("," + inner).join(members) + newline + "]"
-    # floats and the rest are scalars to json.dumps, which writes a
-    # scalar the same at every indent
-    return json.dumps(value)
+        # the members with a separator between each two, placed in C
+        pieces = ["," + inner] * (2 * len(members) - 1)
+        pieces[::2] = members
+        out.append("[" + inner)
+        out += pieces
+        out.append(newline + "]")
+    else:
+        # floats and the rest are scalars to json.dumps, which writes a
+        # scalar the same at every indent
+        out.append(json.dumps(value))
 
 
 def _members(values, newline: str) -> list[str]:

@@ -1,6 +1,8 @@
 """Parser, printer and fragment bookkeeping."""
 
 import dataclasses
+import inspect
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -85,6 +87,28 @@ def test_formulas_at_the_depth_limit_parse_and_print():
         assert translate(translate(f)) == f
     with pytest.raises(ParseError):
         parse("[]1 " * 301 + "p")
+
+
+def test_parse_does_not_recurse():
+    # formulas at both caps parse, and the texts one past them fail,
+    # with the recursion limit barely above the caller's stack
+    chain = "q"
+    for _ in range(150):
+        chain = f"[]1 ({chain}) & q"
+    texts = ("(" * 300 + "p" + ")" * 300, chain, "[]1 " * 300 + "p")
+    want = [parse(text) for text in texts]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 50)
+    try:
+        for text, f in zip(texts, want):
+            assert parse(text) is f
+        for text in (f"[]1 ({chain}) & q", "[]1 " * 301 + "p"):
+            with pytest.raises(ParseError, match="more than 300 levels"):
+                parse(text)
+        with pytest.raises(ParseError, match="parentheses nest"):
+            parse("(" * 301 + "p" + ")" * 301)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_to_string_frozen():

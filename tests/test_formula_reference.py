@@ -575,12 +575,27 @@ def test_parse_matches_reference_on_token_soup(text):
     assert outcome(kf.parse, text) == outcome(parse, text)
 
 
+def ladder(depth: int) -> str:
+    """[]1 (...) & q nested `depth` times around q, 2 * depth deep."""
+    text = "q"
+    for _ in range(depth):
+        text = f"[]1 ({text}) & q"
+    return text
+
+
 def test_parse_matches_reference_on_malformed_and_deep_text():
     texts = ["", "-", "p -", "[", "[p", "[]", "[] p", "[]0 p", "[]01 p",
              "<", "<p", "<>", "<|x", "|", "|>", "|> 1 p", "p $ q", "P",
              "p & & q", "(p", "p )", "p -> q -< r", "p -< q -> r", "~",
              "-.", "C", "T F", "[]1 " * 301 + "p", "(" * 301 + "p" + ")" * 301,
-             "p & " * 400 + "p", "-." * 400 + "p", "<|2 " * 300 + "p"]
+             "p & " * 400 + "p", "-." * 400 + "p", "<|2 " * 300 + "p",
+             # at and just past the caps, and a malformed token past the
+             # parenthesis cap, which is still reported first
+             ladder(150), ladder(151), "(" * 300 + "p" + ")" * 300,
+             "~" * 300 + "p", "~" * 301 + "p", "-." * 300 + "p",
+             "-." * 301 + "p", "(" * 301 + "p $",
+             # a flat chain far longer than the cap
+             "p & " * 25000 + "p"]
     for text in texts:
         assert outcome(kf.parse, text) == outcome(parse, text), text
 
